@@ -61,13 +61,9 @@ from .multilinear import (
 )
 from .sampling import (
     RandomStream,
-    SphericalDraw,
     sample_elliptical,
     sample_elliptical_rvecs,
     sample_radii,
-    sample_radius,
-    sample_sphere,
-    sample_spherical,
     sample_std_normal_array,
 )
 from .verify import (

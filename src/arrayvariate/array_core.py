@@ -179,6 +179,7 @@ def parse_arrays(text, source="<string>") -> list:
             fail(lineno + 1, f"invalid dims {dims}")
         lineno += 1
         m = shape_size(dims)
+        data_start = lineno
         values = []
         while len(values) < m:
             if lineno >= n_lines:
@@ -194,7 +195,22 @@ def parse_arrays(text, source="<string>") -> list:
                 except ValueError:
                     fail(lineno + 1, f"bad numeric token {t!r}")
             lineno += 1
-        arrays.append(unrvec(np.array(values), dims))
+        values = np.array(values)
+        reject_nonfinite(values, lines, data_start, fail)
+        arrays.append(unrvec(values, dims))
+
+
+def reject_nonfinite(values, lines, start, fail) -> None:
+    """Call ``fail(line, msg)`` at the first nan/inf among ``values``, the tokens
+    of ``lines[start:]``; the line is looked up only on failure."""
+    if np.isfinite(values).all():
+        return
+    index = int(np.argmin(np.isfinite(values)))
+    for ln in range(start, len(lines)):
+        tokens = lines[ln].split()
+        if index < len(tokens):
+            fail(ln + 1, f"non-finite value {tokens[index]!r}")
+        index -= len(tokens)
 
 
 def read_arrays(path) -> list:

@@ -19,6 +19,7 @@ Examples::
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -54,8 +55,6 @@ def _build_kernel(args) -> Kernel:
     if args.kernel == "t":
         if args.df is None:
             raise UsageError("--kernel t requires --df")
-        if not args.df > 0:
-            raise UsageError(f"--df must be > 0, got {args.df:g}")
     elif args.df is not None:
         raise UsageError(f"--df is only valid with --kernel t, not {args.kernel}")
     return Kernel.from_name(args.kernel, args.df)
@@ -127,8 +126,8 @@ def cmd_verify(args) -> int:
 def cmd_radial(args) -> int:
     if args.rmax is None or args.steps is None:
         raise UsageError("radial requires --rmax and --steps")
-    if not args.rmax > 0:
-        raise UsageError(f"--rmax must be > 0, got {args.rmax:g}")
+    if not (math.isfinite(args.rmax) and args.rmax > 0):
+        raise UsageError(f"--rmax must be finite and > 0, got {args.rmax:g}")
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
     if args.n < 1:

@@ -12,7 +12,8 @@ large arrays.
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy import stats
+from scipy.special import betainc, gammainc, gammaln, xlogy
 
 from . import linalg
 from .array_core import as_array, rvec, sq_norm
@@ -25,8 +26,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 class Kernel:
     """Spherical kernel pdf family: the scalar profile f(t) with t = x'x.
 
-    Variants
-    --------
+    A kernel owns all family-specific math: profile, radial law, covariance
+    scale, importance proposal and report tag.  Build one with a constructor:
+
     ``Kernel.normal()``
         ``f(t) = (2 pi)^(-k/2) exp(-t/2)`` in dimension k.
     ``Kernel.student_t(df)``
@@ -36,57 +38,163 @@ class Kernel:
     ``Kernel.custom(profile, log_normalizer)``
         ``f(t) = exp(log_normalizer(k)) * profile(t)``.  The caller supplies
         the dimension-dependent normalizer; nothing is normalized numerically,
-        and no sampler exists for custom kernels.
+        and custom kernels have no sampler and no closed-form radial CDF.
     """
 
-    def __init__(self, name, df=None, profile=None, log_normalizer=None):
-        if name not in ("normal", "t", "cauchy", "custom"):
-            raise ValueError(f"unknown kernel {name!r}")
-        if name == "t":
-            if df is None or not df > 0:
-                raise ValueError(f"t kernel needs degrees of freedom > 0, got {df!r}")
-            df = float(df)
-        elif name == "cauchy":
-            df = 1.0
-        elif name == "custom":
-            if profile is None or log_normalizer is None:
-                raise ValueError("custom kernel needs a profile and a log_normalizer")
-        self.name = name
-        self.df = df
-        self.profile = profile
-        self.log_normalizer = log_normalizer
+    df = None
+    tag = None  # the kernel's part of a verification record name, such as "t5"
+    has_sampler = True
+    covariance_scale = None  # Cov(rvec X) = covariance_scale * K K'; None when infinite
 
-    @classmethod
-    def normal(cls):
-        return cls("normal")
+    @staticmethod
+    def normal():
+        return NormalKernel()
 
-    @classmethod
-    def student_t(cls, df):
-        return cls("t", df=df)
+    @staticmethod
+    def student_t(df):
+        return StudentKernel(df)
 
-    @classmethod
-    def cauchy(cls):
-        return cls("cauchy")
+    @staticmethod
+    def cauchy():
+        return StudentKernel(1.0, name="cauchy")
 
-    @classmethod
-    def custom(cls, profile, log_normalizer):
-        return cls("custom", profile=profile, log_normalizer=log_normalizer)
+    @staticmethod
+    def custom(profile, log_normalizer):
+        return CustomKernel(profile, log_normalizer)
 
-    @classmethod
-    def from_name(cls, name, df=None):
+    @staticmethod
+    def from_name(name, df=None):
         """Build a kernel from its command-line name: normal, t or cauchy."""
         if name == "normal":
-            return cls.normal()
+            return Kernel.normal()
         if name == "t":
-            return cls.student_t(df)
+            return Kernel.student_t(df)
         if name == "cauchy":
-            return cls.cauchy()
+            return Kernel.cauchy()
         raise ValueError(f"unknown kernel {name!r}")
 
     def __repr__(self):
-        if self.name == "t":
-            return f"Kernel.student_t({self.df})"
         return f"Kernel.{self.name}()"
+
+    def log_profile(self, t, k):
+        """``log f(t)`` in dimension k, elementwise over an ndarray ``t >= 0``."""
+        raise NotImplementedError
+
+    def log_radial_pdf(self, r, k):
+        """Log density of the radius ``r = sqrt(x'x)``: log sphere surface + log f(r^2).
+
+        ``xlogy`` keeps ``k = 1, r = 0`` finite.
+        """
+        log_surface = math.log(2.0) + 0.5 * k * math.log(math.pi) - gammaln(0.5 * k)
+        return log_surface + xlogy(k - 1, r) + self.log_profile(r * r, k)
+
+    def radial_cdf(self, r, k):
+        """``P(radius <= r)`` in dimension k, elementwise."""
+        raise NotImplementedError(f"no closed-form radial law for {self.name!r} kernels")
+
+    def radius_divisor(self, n, gen):
+        """n divisors d of the Gaussian radius: a draw's radius is ``||z|| / d``."""
+        raise NotImplementedError(f"no sampler for {self.name!r} kernels")
+
+    def chi_radii(self, m, n, gen):
+        """n draws of ``||z||`` for an m-variate standard normal z."""
+        return np.linalg.norm(gen.standard_normal((n, m)), axis=1)
+
+    def importance_proposal(self, mu, k, n, gen):
+        """n draws from a proposal centered at ``mu`` with scale ``2 K``, and their log-densities."""
+        raise ValueError(f"no importance proposal for {self.name!r} kernels")
+
+
+class NormalKernel(Kernel):
+    """Normal kernel: the radius is chi with k degrees of freedom."""
+
+    name = tag = "normal"
+    covariance_scale = 1.0
+
+    def log_profile(self, t, k):
+        return -0.5 * k * LOG_2PI - 0.5 * t
+
+    def radial_cdf(self, r, k):
+        return gammainc(0.5 * k, 0.5 * r * r)
+
+    def radius_divisor(self, n, gen):
+        return 1.0
+
+    def chi_radii(self, m, n, gen):
+        # one chi-square draw per radius: O(n) memory; seeded verify records depend on this draw
+        return np.sqrt(gen.chisquare(m, size=n))
+
+    def importance_proposal(self, mu, k, n, gen):
+        m = mu.size
+        z = gen.standard_normal((n, m))
+        draws = mu[None, :] + 2.0 * (z @ k.T)
+        # proposal density evaluated through z: (2K)^{-1}(y - mu) is z itself
+        _, logdet_k = np.linalg.slogdet(k)
+        log_q = -0.5 * np.einsum("ij,ij->i", z, z) - 0.5 * m * LOG_2PI - (m * math.log(2.0) + logdet_k)
+        return draws, log_q
+
+
+class StudentKernel(Kernel):
+    """Student t kernel with ``df`` degrees of freedom; ``r^2 / k`` is F(k, df).
+
+    Draws are normal scale mixtures: the radius is ``||z|| / sqrt(w / df)`` with
+    w a chi-square draw with df degrees of freedom.
+    """
+
+    def __init__(self, df, name="t"):
+        if df is None or not (math.isfinite(df) and df > 0):
+            raise ValueError(f"t kernel needs finite degrees of freedom > 0, got {df!r}")
+        self.name = name
+        self.df = float(df)
+        self.tag = name if name == "cauchy" else f"t{self.df:g}"
+        self.covariance_scale = self.df / (self.df - 2.0) if self.df > 2 else None
+
+    def __repr__(self):
+        return super().__repr__() if self.name == "cauchy" else f"Kernel.student_t({self.df})"
+
+    def log_profile(self, t, k):
+        v = self.df
+        return (
+            gammaln(0.5 * (v + k))
+            - gammaln(0.5 * v)
+            - 0.5 * k * math.log(v * math.pi)
+            - 0.5 * (v + k) * np.log1p(t / v)
+        )
+
+    def radial_cdf(self, r, k):
+        t = r * r
+        return betainc(0.5 * k, 0.5 * self.df, t / (t + self.df))
+
+    def radius_divisor(self, n, gen):
+        return np.sqrt(gen.chisquare(self.df, size=n) / self.df)
+
+    def importance_proposal(self, mu, k, n, gen):
+        proposal = stats.multivariate_t(loc=mu, shape=4.0 * (k @ k.T), df=self.df)
+        draws = np.atleast_1d(proposal.rvs(size=n, random_state=gen)).reshape(n, mu.size)
+        return draws, proposal.logpdf(draws)
+
+
+class CustomKernel(Kernel):
+    """User-supplied profile and normalizer; density only."""
+
+    name = tag = "custom"
+    has_sampler = False
+
+    def __init__(self, profile, log_normalizer):
+        if profile is None or log_normalizer is None:
+            raise ValueError("custom kernel needs a profile and a log_normalizer")
+        self.profile = profile
+        self.log_normalizer = log_normalizer
+
+    def log_profile(self, t, k):
+        return self.log_normalizer(k) + np.log(self.profile(t))
+
+
+def _check_dimension(k) -> int:
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"dimension k must be >= 1, got {k}")
+    return k
 
 
 def log_kernel_pdf(kernel, t, k):
@@ -98,21 +206,7 @@ def log_kernel_pdf(kernel, t, k):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("squared radius t must be >= 0")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"dimension k must be >= 1, got {k}")
-    if kernel.name == "normal":
-        out = -0.5 * k * LOG_2PI - 0.5 * t
-    elif kernel.name in ("t", "cauchy"):
-        v = kernel.df
-        out = (
-            gammaln(0.5 * (v + k))
-            - gammaln(0.5 * v)
-            - 0.5 * k * math.log(v * math.pi)
-            - 0.5 * (v + k) * np.log1p(t / v)
-        )
-    else:
-        out = kernel.log_normalizer(k) + np.log(kernel.profile(t))
+    out = kernel.log_profile(t, _check_dimension(k))
     return out if out.ndim else float(out)
 
 
@@ -125,16 +219,13 @@ def radial_pdf(kernel, r, k):
     """Density of the radius ``r = sqrt(x'x)`` of a k-variate spherical draw.
 
     Equals ``2 pi^(k/2) / Gamma(k/2) * r^(k-1) * f(r^2)``: the kernel value on
-    the sphere of radius r times the sphere's surface area.
+    the sphere of radius r times the sphere's surface area.  Evaluated in log
+    space (:meth:`Kernel.log_radial_pdf`), so it stays finite in any dimension.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius r must be >= 0")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"dimension k must be >= 1, got {k}")
-    surface = math.exp(math.log(2.0) + 0.5 * k * math.log(math.pi) - gammaln(0.5 * k))
-    out = surface * r ** (k - 1) * kernel_pdf(kernel, r * r, k)
+    out = np.exp(kernel.log_radial_pdf(r, _check_dimension(k)))
     return out if out.ndim else float(out)
 
 
@@ -241,10 +332,9 @@ def logpdf_t(model, x, df) -> float:
     normalizer are required for the one-cell case to reduce to the univariate
     Student t.
     """
-    if not df > 0:
-        raise ValueError(f"degrees of freedom must be > 0, got {df!r}")
+    kernel = Kernel.student_t(df)
     z = standardize(model, x)
-    return float(log_kernel_pdf(Kernel.student_t(df), sq_norm(z), model.m)) - model.log_jac
+    return float(log_kernel_pdf(kernel, sq_norm(z), model.m)) - model.log_jac
 
 
 def logpdf_elliptical_rvecs(model, rows) -> np.ndarray:

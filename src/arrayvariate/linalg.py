@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
+from .array_core import reject_nonfinite
 from .errors import FormatError, SingularMatrixError
 
 # Reject a factorization when min |pivot| < PIVOT_RTOL * max |pivot|.
@@ -159,6 +160,7 @@ def parse_matrix(text, source="<string>") -> np.ndarray:
     if r < 1 or c < 1:
         fail(lineno + 1, f"invalid dimensions {r}x{c}")
     lineno += 1
+    data_start = lineno
     values = []
     total = r * c
     while lineno < len(lines):
@@ -172,7 +174,9 @@ def parse_matrix(text, source="<string>") -> np.ndarray:
         lineno += 1
     if len(values) != total:
         fail(len(lines), f"unexpected end of input: got {len(values)} of {total} values")
-    return np.array(values).reshape(r, c)
+    values = np.array(values)
+    reject_nonfinite(values, lines, data_start, fail)
+    return values.reshape(r, c)
 
 
 def read_matrix(path) -> np.ndarray:

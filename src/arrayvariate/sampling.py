@@ -3,12 +3,10 @@
 A spherical draw splits into an independent radius ``r`` (kernel-specific
 law) and a direction ``u`` uniform on the unit sphere; the elliptical array
 sampler pushes ``r * u`` through the model's per-mode factors and adds the
-location.  For the normal kernel the radius is a chi draw; for the t kernel
-it is a Gaussian norm over a scaled chi, which is exact (no quadrature or
-inversion anywhere).
+location.  The kernel supplies the radius law: for the normal kernel the
+radius is a chi draw; for the t kernel it is a Gaussian norm over a scaled
+chi, which is exact (no quadrature or inversion anywhere).
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,32 +50,14 @@ class RandomStream:
         return f"RandomStream(seed={self.seed})"
 
 
-class SphericalDraw(NamedTuple):
-    """One spherical draw: nonnegative radius and unit direction in R^m."""
-
-    r: float
-    u: np.ndarray
-
-
 def sample_std_normal_array(shape, stream) -> np.ndarray:
     """Array of the given shape with i.i.d. standard normal cells."""
     m = shape_size(shape)
     return unrvec(stream.generator.standard_normal(m), shape)
 
 
-def sample_sphere(m, stream) -> np.ndarray:
-    """Uniform draw on the unit sphere in R^m: a normalized Gaussian vector."""
-    if m < 1:
-        raise ValueError(f"dimension must be >= 1, got {m}")
-    while True:
-        z = stream.generator.standard_normal(m)
-        norm = float(np.linalg.norm(z))
-        if norm > 0.0:
-            return z / norm
-
-
-def sample_radius(kernel, m, stream) -> float:
-    """One radius draw for the kernel's spherical law in dimension m.
+def sample_radii(kernel, m, n, stream) -> np.ndarray:
+    """n radius draws of the kernel's spherical law in dimension m.
 
     Normal kernel: ``sqrt(chi2_m)``.  t kernel with df v: ``||z|| / sqrt(w/v)``
     with z an m-variate standard normal and w a chi2_v draw.
@@ -85,32 +65,7 @@ def sample_radius(kernel, m, stream) -> float:
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
     gen = stream.generator
-    if kernel.name == "normal":
-        return float(np.sqrt(gen.chisquare(m)))
-    if kernel.name in ("t", "cauchy"):
-        z = gen.standard_normal(m)
-        w = gen.chisquare(kernel.df)
-        return float(np.linalg.norm(z) / np.sqrt(w / kernel.df))
-    raise NotImplementedError(f"no radial sampler for {kernel.name!r} kernels")
-
-
-def sample_radii(kernel, m, n, stream) -> np.ndarray:
-    """Vectorized :func:`sample_radius`: n radii in one call."""
-    if m < 1:
-        raise ValueError(f"dimension must be >= 1, got {m}")
-    gen = stream.generator
-    if kernel.name == "normal":
-        return np.sqrt(gen.chisquare(m, size=n))
-    if kernel.name in ("t", "cauchy"):
-        z = gen.standard_normal((n, m))
-        w = gen.chisquare(kernel.df, size=n)
-        return np.linalg.norm(z, axis=1) / np.sqrt(w / kernel.df)
-    raise NotImplementedError(f"no radial sampler for {kernel.name!r} kernels")
-
-
-def sample_spherical(kernel, m, stream) -> SphericalDraw:
-    """One (radius, direction) pair of the kernel's spherical law."""
-    return SphericalDraw(sample_radius(kernel, m, stream), sample_sphere(m, stream))
+    return kernel.chi_radii(m, n, gen) / kernel.radius_divisor(n, gen)
 
 
 def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
@@ -131,14 +86,7 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0  # measure-zero guard
     u = z / norms[:, None]
-    if model.kernel.name == "normal":
-        radii = norms
-    elif model.kernel.name in ("t", "cauchy"):
-        v = model.kernel.df
-        w = gen.chisquare(v, size=n)
-        radii = norms / np.sqrt(w / v)
-    else:
-        raise NotImplementedError(f"no sampler for {model.kernel.name!r} kernels")
+    radii = norms / model.kernel.radius_divisor(n, gen)
     spherical = u * radii[:, None]
     # batch as a trailing axis; the per-mode factors never touch it
     batch = spherical.T.reshape(*model.shape, n, order="F")

@@ -7,8 +7,9 @@ Three checks, each yielding a :class:`McReport`:
 * covariance — compare the sample covariance of stacked draws against the
   model's implied covariance entrywise; pass when the worst entry stays
   within 5 standard errors;
-* radial — Kolmogorov-Smirnov test of sampled radii against the CDF obtained
-  by adaptive quadrature of the radial density; pass when p >= 0.01.
+* radial — Kolmogorov-Smirnov test of sampled radii against the closed-form
+  CDF of the radial law (``r^2 ~ chi2_m`` for the normal kernel,
+  ``r^2 / m ~ F(m, df)`` for the t kernel); pass when p >= 0.01.
 
 Thresholds are loose enough that a fixed-seed suite false-fails rarely;
 every report reproduces exactly from (name, seed, n).
@@ -18,10 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import stats
 
 from .array_core import rvec
-from .densities import logpdf_elliptical_rvecs, radial_pdf
+from .densities import logpdf_elliptical_rvecs
 from .kronecker import inv_kron_chain
 from .sampling import sample_elliptical_rvecs, sample_radii
 
@@ -54,10 +55,7 @@ class McReport:
 
 
 def _model_tag(model) -> str:
-    kernel = model.kernel.name
-    if kernel == "t":
-        kernel = f"t{model.kernel.df:g}"
-    return f"{kernel}-{'x'.join(str(d) for d in model.shape)}"
+    return f"{model.kernel.tag}-{'x'.join(str(d) for d in model.shape)}"
 
 
 def check_normalization(model, n, stream) -> McReport:
@@ -77,19 +75,7 @@ def check_normalization(model, n, stream) -> McReport:
     gen = stream.generator
     k = inv_kron_chain(model.factors)
     mu = rvec(model.mean)
-    if model.kernel.name == "normal":
-        z = gen.standard_normal((n, m))
-        draws = mu[None, :] + 2.0 * (z @ k.T)
-        # proposal density evaluated through z: (2K)^{-1}(y - mu) is z itself
-        _, logdet_k = np.linalg.slogdet(k)
-        log_q = -0.5 * np.einsum("ij,ij->i", z, z) - 0.5 * m * math.log(2 * math.pi) \
-            - (m * math.log(2.0) + logdet_k)
-    elif model.kernel.name in ("t", "cauchy"):
-        proposal = stats.multivariate_t(loc=mu, shape=4.0 * (k @ k.T), df=model.kernel.df)
-        draws = np.atleast_1d(proposal.rvs(size=n, random_state=gen)).reshape(n, m)
-        log_q = proposal.logpdf(draws)
-    else:
-        raise ValueError(f"no importance proposal for {model.kernel.name!r} kernels")
+    draws, log_q = model.kernel.importance_proposal(mu, k, n, gen)
     log_w = logpdf_elliptical_rvecs(model, draws) - log_q
     w = np.exp(log_w)
     estimate = float(np.mean(w))
@@ -109,16 +95,11 @@ def check_normalization(model, n, stream) -> McReport:
 
 def implied_covariance(model) -> np.ndarray:
     """Covariance of the stacked draw implied by the model's kernel and factors."""
+    scale = model.kernel.covariance_scale
+    if scale is None:
+        raise ValueError(f"{model.kernel!r} has no finite covariance")
     k = inv_kron_chain(model.factors)
-    base = k @ k.T
-    if model.kernel.name == "normal":
-        return base
-    if model.kernel.name in ("t", "cauchy"):
-        v = model.kernel.df
-        if v <= 2:
-            raise ValueError(f"t kernel with df={v:g} has no finite covariance")
-        return (v / (v - 2.0)) * base
-    raise ValueError(f"no covariance target for {model.kernel.name!r} kernels")
+    return scale * (k @ k.T)
 
 
 def check_covariance(model, n, stream) -> McReport:
@@ -158,57 +139,22 @@ def check_covariance(model, n, stream) -> McReport:
     )
 
 
-def _radial_integrand(kernel, m):
-    """Scalar-math radial density (the :func:`radial_pdf` formula) for quadrature."""
-    log_surface = math.log(2.0) + 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m)
-    if kernel.name == "normal":
-        c = math.exp(log_surface - 0.5 * m * math.log(2.0 * math.pi))
-        return lambda r: c * r ** (m - 1) * math.exp(-0.5 * r * r)
-    if kernel.name in ("t", "cauchy"):
-        v = kernel.df
-        c = math.exp(
-            log_surface
-            + math.lgamma(0.5 * (v + m))
-            - math.lgamma(0.5 * v)
-            - 0.5 * m * math.log(v * math.pi)
-        )
-        p = -0.5 * (v + m)
-        return lambda r: c * r ** (m - 1) * (1.0 + r * r / v) ** p
-    return lambda r: radial_pdf(kernel, r, m)
-
-
 def radial_cdf(kernel, m):
-    """CDF of the radial law by adaptive quadrature of :func:`radial_pdf`.
-
-    Returns a callable accepting scalars or arrays; array input is integrated
-    segment by segment in sorted order, so evaluating the CDF at a whole
-    sample costs one short quadrature per distinct point.
-    """
-    pdf = _radial_integrand(kernel, m)
+    """Closed-form CDF of the kernel's radial law in dimension m, as a callable
+    on scalars or arrays of radii; custom kernels raise ``NotImplementedError``."""
 
     def cdf(r):
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(arr)
-        order = np.argsort(arr)
-        total = 0.0
-        prev = 0.0
-        for idx in order:
-            ri = arr[idx]
-            if ri < 0:
-                raise ValueError("radius must be >= 0")
-            if ri > prev:
-                seg, _ = integrate.quad(pdf, prev, ri, epsabs=1e-11, epsrel=1e-9)
-                total += seg
-                prev = ri
-            out[idx] = total
-        out = np.clip(out, 0.0, 1.0)
-        return out if np.ndim(r) else float(out[0])
+        r = np.asarray(r, dtype=float)
+        if np.any(r < 0):
+            raise ValueError("radius must be >= 0")
+        out = kernel.radial_cdf(r, m)
+        return out if out.ndim else float(out)
 
     return cdf
 
 
 def check_radial(kernel, m, n, stream) -> McReport:
-    """KS test of sampled radii against the quadrature CDF of the radial law.
+    """KS test of sampled radii against the closed-form CDF of the radial law.
 
     estimate = p-value, target = the rejection level, statistic = KS distance.
     """
@@ -217,9 +163,8 @@ def check_radial(kernel, m, n, stream) -> McReport:
         raise ValueError("need at least 2 samples")
     radii = sample_radii(kernel, m, n, stream)
     result = stats.ks_1samp(radii, radial_cdf(kernel, m))
-    kernel_tag = kernel.name if kernel.name != "t" else f"t{kernel.df:g}"
     return McReport(
-        name=f"radial-{kernel_tag}-m{m}",
+        name=f"radial-{kernel.tag}-m{m}",
         estimate=float(result.pvalue),
         stderr=0.0,
         target=KS_ALPHA,
@@ -236,19 +181,12 @@ def run_suite(model, n, stream) -> list:
     Check order is fixed (normalization, covariance, radial) and each runs on
     ``stream.split(i)``, so the suite reproduces exactly from the master seed.
     """
-    reports = []
-    task = 0
-    if model.m <= MAX_NORMALIZATION_CELLS and model.kernel.name in ("normal", "t", "cauchy"):
-        reports.append(check_normalization(model, n, stream.split(task)))
-    task += 1
-    has_cov = model.kernel.name == "normal" or (
-        model.kernel.name in ("t", "cauchy") and model.kernel.df > 2
-    )
-    if model.m <= MAX_COVARIANCE_CELLS and has_cov:
-        reports.append(check_covariance(model, n, stream.split(task)))
-    task += 1
-    if model.kernel.name in ("normal", "t", "cauchy"):
-        reports.append(check_radial(model.kernel, model.m, n, stream.split(task)))
-    if not reports:
+    if not model.kernel.has_sampler:
         raise ValueError("no verification check applies to this model")
+    reports = []
+    if model.m <= MAX_NORMALIZATION_CELLS:
+        reports.append(check_normalization(model, n, stream.split(0)))
+    if model.m <= MAX_COVARIANCE_CELLS and model.kernel.covariance_scale is not None:
+        reports.append(check_covariance(model, n, stream.split(1)))
+    reports.append(check_radial(model.kernel, model.m, n, stream.split(2)))
     return reports

@@ -199,6 +199,11 @@ class TestArrv1:
         with pytest.raises(FormatError, match=r"in\.arr:3.*'x'"):
             ac.parse_arrays("ARRV1\ndims 2\n1 x\n", source="in.arr")
 
+    def test_non_finite_token_names_line(self):
+        # the bad value sits in the second array of the file
+        with pytest.raises(FormatError, match=r"in\.arr:8:.*'-inf'"):
+            ac.parse_arrays("ARRV1\ndims 2\n1 2\n\nARRV1\ndims 2 2\n1 2\n3 -inf\n", source="in.arr")
+
     def test_truncated_data(self):
         with pytest.raises(FormatError, match="2 of 4"):
             ac.parse_arrays("ARRV1\ndims 2 2\n1 2\n")

@@ -64,9 +64,11 @@ class TestSample:
 
     def test_nonpositive_df_rejected(self, model_files, capsys):
         f1, f2, _ = model_files
-        code = run_cli("sample", "--kernel", "t", "--df", -1, "--factor", f1,
-                       "--factor", f2, "--n", 1)
-        assert code == 2
+        for df in (-1, "inf"):
+            code = run_cli("sample", "--kernel", "t", "--df", df, "--factor", f1,
+                           "--factor", f2, "--n", 1)
+            assert code == 2
+        assert capsys.readouterr().out == ""
 
     def test_matches_library_sampler(self, tmp_path, model_files, capsys):
         # the CLI is a thin wrapper: same seed gives the library's exact draws
@@ -98,6 +100,15 @@ class TestSample:
         err = capsys.readouterr().err
         assert "broken.mat" in err
         assert ":4" in err
+
+    def test_non_finite_factor_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan.mat"
+        bad.write_text("MATV1\ndims 2 2\n1 0\n0 nan\n")
+        code = run_cli("sample", "--factor", bad, "--n", 1)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nan.mat:4:" in captured.err
 
     def test_mean_shape_mismatch(self, tmp_path, model_files, capsys):
         f1, f2, _ = model_files
@@ -142,6 +153,15 @@ class TestDensity:
         write_arrays([np.zeros((2, 2)), np.zeros((3, 2))], inp)
         assert run_cli("density", "--factor", f1, "--factor", f2, "--input", inp) == 2
         assert "array 2" in capsys.readouterr().err
+
+    def test_non_finite_array_exits_2(self, tmp_path, model_files, capsys):
+        f1, f2, _ = model_files
+        inp = tmp_path / "x.arr"
+        inp.write_text("ARRV1\ndims 2 2\n0 inf\n0 0\n")
+        assert run_cli("density", "--factor", f1, "--factor", f2, "--input", inp) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "x.arr:3:" in captured.err
 
     def test_round_trip_all_kernels(self, tmp_path, model_files, capsys):
         f1, f2, _ = model_files
@@ -218,6 +238,17 @@ class TestVerify:
         bad.write_text("garbage\n")
         assert run_cli("verify", "--factor", bad, "--n", 20_000) == 2
 
+    def test_m512_radial_check_passes(self, tmp_path, capsys):
+        # quadrature of the radial density overflowed here before the closed-form CDF
+        f = tmp_path / "eye8.mat"
+        write_matrix(np.eye(8), f)
+        assert run_cli("verify", "--factor", f, "--factor", f, "--factor", f,
+                       "--n", 10_000, "--seed", 3) == 0
+        (record,) = capsys.readouterr().out.splitlines()
+        fields = record.split()
+        assert fields[0] == "radial-normal-m512"
+        assert fields[5] == "pass"
+
     def test_deterministic_output(self, tmp_path, model_files):
         f1, f2, _ = model_files
         o1, o2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
@@ -241,6 +272,9 @@ class TestRadial:
         assert run_cli("radial", "--kernel", "normal", "--n", 2, "--rmax", 0, "--steps", 4) == 2
         assert run_cli("radial", "--kernel", "normal", "--n", 2, "--rmax", 1, "--steps", 0) == 2
         assert run_cli("radial", "--kernel", "normal", "--n", 0, "--rmax", 1, "--steps", 2) == 2
+        assert run_cli("radial", "--kernel", "normal", "--n", 2, "--rmax", "inf", "--steps", 4) == 2
+        assert run_cli("radial", "--kernel", "t", "--df", "inf", "--n", 2, "--rmax", 1, "--steps", 4) == 2
+        assert capsys.readouterr().out == ""
 
     def test_t_kernel_grid(self, capsys):
         assert run_cli("radial", "--kernel", "t", "--df", 4, "--n", 1, "--rmax", 3, "--steps", 3) == 0

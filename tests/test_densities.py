@@ -91,6 +91,16 @@ class TestRadialPdf:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+    @pytest.mark.parametrize("kernel", [dn.Kernel.normal(), dn.Kernel.student_t(5)])
+    @pytest.mark.parametrize("k", [400, 2000, 5000])
+    def test_large_dimension_finite_and_normalized(self, kernel, k):
+        # r^(k-1) and f(r^2) each leave the float range here; their product does not
+        rs = np.linspace(0.0, 3000.0, 200_001)
+        pdf = dn.radial_pdf(kernel, rs, k)
+        assert np.all(np.isfinite(pdf))
+        assert np.trapezoid(pdf, rs) == pytest.approx(1.0, abs=1e-6)
+
+
 class TestLogJacobian:
     def test_identity_factors(self):
         assert dn.log_jacobian([np.eye(2), np.eye(3)]) == 0.0

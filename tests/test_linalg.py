@@ -154,6 +154,10 @@ class TestMatv1:
         with pytest.raises(FormatError, match=r":3"):
             linalg.parse_matrix("MATV1\ndims 1 2\n1 oops\n", source="f.mat")
 
+    def test_non_finite_token(self):
+        with pytest.raises(FormatError, match=r"f\.mat:4:.*'nan'"):
+            linalg.parse_matrix("MATV1\ndims 2 2\n1 2\nnan 4\n", source="f.mat")
+
     def test_truncated(self):
         with pytest.raises(FormatError, match="2 of 4"):
             linalg.parse_matrix("MATV1\ndims 2 2\n1 2\n")

@@ -51,26 +51,24 @@ class TestStdNormalArray:
         np.testing.assert_array_equal(first, again)
 
 
-class TestSphere:
-    def test_unit_norm_always(self):
-        stream = sp.RandomStream(102)
-        for m in (1, 2, 5, 17):
-            for _ in range(50):
-                u = sp.sample_sphere(m, stream)
-                assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+def directions(kernel, dims, n, stream):
+    """Unit directions u of n draws of the identity model: x = r * u."""
+    model = dn.KroneckerModel(np.zeros(dims), [np.eye(d) for d in dims], kernel)
+    rows = sp.sample_elliptical_rvecs(model, n, stream)
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
 
+
+class TestSphere:
     def test_sign_balance_1d(self):
-        stream = sp.RandomStream(103)
         n = 10_000
-        draws = np.array([sp.sample_sphere(1, stream)[0] for _ in range(n)])
+        draws = directions(dn.Kernel.student_t(3.0), (1,), n, sp.RandomStream(103))[:, 0]
         assert set(np.unique(draws)) <= {-1.0, 1.0}
         freq = np.mean(draws > 0)
         assert abs(freq - 0.5) <= 3 * 0.5 / math.sqrt(n)
 
     def test_coordinate_means(self):
-        stream = sp.RandomStream(104)
         m, n = 4, 20_000
-        draws = np.array([sp.sample_sphere(m, stream) for _ in range(n)])
+        draws = directions(dn.Kernel.normal(), (2, 2), n, sp.RandomStream(104))
         # each coordinate has variance 1/m on the sphere
         assert np.max(np.abs(draws.mean(axis=0))) <= 3 / math.sqrt(m * n)
 
@@ -87,23 +85,14 @@ class TestRadius:
     def test_nonnegative(self):
         stream = sp.RandomStream(107)
         for kernel in (dn.Kernel.normal(), dn.Kernel.student_t(2.5), dn.Kernel.cauchy()):
-            for _ in range(200):
-                assert sp.sample_radius(kernel, 3, stream) >= 0.0
-
-    def test_scalar_matches_law_of_vector_version(self):
-        radii = np.array([sp.sample_radius(dn.Kernel.normal(), 3, sp.RandomStream(108 + i))
-                          for i in range(2_000)])
-        assert stats.kstest(radii, stats.chi(3).cdf).pvalue >= 0.01
+            assert np.all(sp.sample_radii(kernel, 3, 200, stream) >= 0.0)
 
     def test_custom_kernel_unsupported(self):
         kernel = dn.Kernel.custom(lambda t: np.exp(-t), lambda k: 0.0)
         with pytest.raises(NotImplementedError):
-            sp.sample_radius(kernel, 2, sp.RandomStream(1))
-
-    def test_spherical_draw_fields(self):
-        draw = sp.sample_spherical(dn.Kernel.normal(), 4, sp.RandomStream(109))
-        assert draw.r >= 0.0
-        assert abs(np.linalg.norm(draw.u) - 1.0) <= 1e-12
+            sp.sample_radii(kernel, 2, 3, sp.RandomStream(1))
+        with pytest.raises(NotImplementedError):
+            kernel.radial_cdf(1.0, 2)
 
 
 class TestElliptical:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from arrayvariate import densities as dn
@@ -95,7 +97,7 @@ class TestRadial:
     def test_normal_m2(self):
         report = vf.check_radial(dn.Kernel.normal(), 2, 20_000, RandomStream(212))
         assert report.passed
-        # the quadrature CDF must match the closed-form Rayleigh law
+        # the radial CDF must match the Rayleigh law
         grid = np.linspace(0.0, 4.0, 9)
         np.testing.assert_allclose(
             vf.radial_cdf(dn.Kernel.normal(), 2)(grid), stats.rayleigh.cdf(grid), atol=1e-7
@@ -118,6 +120,14 @@ class TestRadial:
         np.testing.assert_allclose(
             vf.radial_cdf(dn.Kernel.normal(), 1)(grid), 2 * stats.norm.cdf(grid) - 1, atol=1e-7
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 12), df=st.floats(1.0, 30.0), r=st.floats(0.0, 25.0))
+    def test_closed_form_cdf_matches_quadrature(self, m, df, r):
+        for kernel in (dn.Kernel.normal(), dn.Kernel.student_t(df)):
+            oracle, _ = integrate.quad(lambda s: dn.radial_pdf(kernel, s, m), 0.0, r,
+                                       epsabs=1e-11, epsrel=1e-9, limit=200)
+            assert vf.radial_cdf(kernel, m)(r) == pytest.approx(oracle, abs=1e-7)
 
     @pytest.mark.parametrize("kernel", [dn.Kernel.normal(), dn.Kernel.student_t(1.0), dn.Kernel.student_t(4.0)])
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
