@@ -44,11 +44,9 @@ from .linalg import (
     l_inverse,
     logabsdet,
     lu_det,
-    matmul,
     parse_matrix,
     read_matrix,
     solve,
-    transpose,
     write_matrix,
 )
 from .monolinear_stats import MonolinearNormal, conditional, marginal, to_monolinear

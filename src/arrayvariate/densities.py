@@ -2,10 +2,12 @@
 
 A Kronecker model couples a location array ``M`` with one non-singular
 ``mj x mj`` factor per mode.  Densities are evaluated by standardizing
-(undoing the per-mode maps and the shift), feeding the squared norm of the
+(undoing the shift and the per-mode maps), feeding the squared norm of the
 standardized array to a spherical kernel pdf, and subtracting the log volume
-change of the multilinear transform.  Everything is computed and exposed in
-log space; :func:`density` exponentiates as a convenience but underflows for
+change of the multilinear transform.  A batch is centered straight into the
+batch-trailing layout of :func:`~arrayvariate.multilinear.apply_modes`, which
+single arrays pass through too.  Everything is computed and exposed in log
+space; :func:`density` exponentiates as a convenience but underflows for
 large arrays.
 """
 
@@ -18,7 +20,7 @@ from scipy.special import betainc, gammainc, gammaln, xlogy
 from . import linalg
 from .array_core import as_array, rvec, sq_norm
 from .errors import SingularMatrixError
-from .multilinear import apply_mode, r_multiply
+from .multilinear import apply_modes, r_multiply
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -310,8 +312,7 @@ def standardize(model, x) -> np.ndarray:
 
 def logpdf_normal(model, x) -> float:
     """Log-density of the multiway normal law with the model's location and factors."""
-    z = standardize(model, x)
-    return -0.5 * sq_norm(z) - 0.5 * model.m * LOG_2PI - model.log_jac
+    return _logpdf_one(model, Kernel.normal(), x)
 
 
 def logpdf_elliptical(model, x) -> float:
@@ -320,8 +321,7 @@ def logpdf_elliptical(model, x) -> float:
     The value depends on ``x`` only through the squared norm of the
     standardized array, evaluated by the kernel at dimension ``m``.
     """
-    z = standardize(model, x)
-    return float(log_kernel_pdf(model.kernel, sq_norm(z), model.m)) - model.log_jac
+    return _logpdf_one(model, model.kernel, x)
 
 
 def logpdf_t(model, x, df) -> float:
@@ -332,9 +332,7 @@ def logpdf_t(model, x, df) -> float:
     normalizer are required for the one-cell case to reduce to the univariate
     Student t.
     """
-    kernel = Kernel.student_t(df)
-    z = standardize(model, x)
-    return float(log_kernel_pdf(kernel, sq_norm(z), model.m)) - model.log_jac
+    return _logpdf_one(model, Kernel.student_t(df), x)
 
 
 def logpdf_elliptical_rvecs(model, rows) -> np.ndarray:
@@ -346,17 +344,15 @@ def logpdf_elliptical_rvecs(model, rows) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.m:
         raise ValueError(f"expected an (n, {model.m}) matrix of stacked arrays, got {rows.shape}")
-    n = rows.shape[0]
-    if n == 0:
-        return np.empty(0)
-    centered = rows - rvec(model.mean)[None, :]
-    # batch as a trailing axis so the per-mode maps leave it untouched
-    batch = centered.T.reshape(*model.shape, n, order="F")
-    for j, a in enumerate(model.inv_factors):
-        batch = apply_mode(a, j, batch)
-    q = batch.reshape(model.m, n, order="F")
-    q = np.einsum("ij,ij->j", q, q)
+    # centering writes the batch-trailing (m, n) block, so the engine starts without a copy
+    centered = np.subtract(rows.T, rvec(model.mean)[:, None], order="C")
+    z = apply_modes(model.inv_factors, centered.T, model.shape)
+    q = np.einsum("ij,ij->i", z, z)
     return np.asarray(log_kernel_pdf(model.kernel, q, model.m)) - model.log_jac
+
+
+def _logpdf_one(model, kernel, x) -> float:
+    return float(log_kernel_pdf(kernel, sq_norm(standardize(model, x)), model.m)) - model.log_jac
 
 
 def density(model, x) -> float:

@@ -102,17 +102,6 @@ def l_inverse(a) -> np.ndarray:
     return scipy.linalg.cho_solve((c, low), a.T, check_finite=False)
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T
-
-
 # ---------------------------------------------------------------------------
 # MATV1 text format
 #

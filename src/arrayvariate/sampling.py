@@ -3,15 +3,17 @@
 A spherical draw splits into an independent radius ``r`` (kernel-specific
 law) and a direction ``u`` uniform on the unit sphere; the elliptical array
 sampler pushes ``r * u`` through the model's per-mode factors and adds the
-location.  The kernel supplies the radius law: for the normal kernel the
-radius is a chi draw; for the t kernel it is a Gaussian norm over a scaled
-chi, which is exact (no quadrature or inversion anywhere).
+location, with the batch on the trailing axis of
+:func:`~arrayvariate.multilinear.apply_modes` in between.  The kernel supplies
+the radius law: for the normal kernel the radius is a chi draw; for the t
+kernel it is a Gaussian norm over a scaled chi, which is exact (no quadrature
+or inversion anywhere).
 """
 
 import numpy as np
 
 from .array_core import rvec, shape_size, unrvec
-from .multilinear import apply_mode
+from .multilinear import apply_modes
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,21 +80,16 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
     n = int(n)
     if n < 0:
         raise ValueError(f"draw count must be >= 0, got {n}")
-    m = model.m
     gen = stream.generator
-    if n == 0:
-        return np.empty((0, m))
-    z = gen.standard_normal((n, m))
+    z = gen.standard_normal((n, model.m))
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0  # measure-zero guard
-    u = z / norms[:, None]
     radii = norms / model.kernel.radius_divisor(n, gen)
-    spherical = u * radii[:, None]
-    # batch as a trailing axis; the per-mode factors never touch it
-    batch = spherical.T.reshape(*model.shape, n, order="F")
-    for j, a in enumerate(model.factors):
-        batch = apply_mode(a, j, batch)
-    return batch.reshape(m, n, order="F").T + rvec(model.mean)[None, :]
+    # u = z / ||z||, then r * u, written as the batch-trailing (m, n) block
+    spherical = np.divide(z.T, norms, order="C")
+    spherical *= radii
+    rows = apply_modes(model.factors, spherical.T, model.shape)
+    return np.add(rows, rvec(model.mean), order="C")
 
 
 def sample_elliptical(model, n, stream) -> list:

@@ -175,18 +175,31 @@ def check_radial(kernel, m, n, stream) -> McReport:
     )
 
 
+def skipped_checks(model) -> dict:
+    """Checks that :func:`run_suite`'s guards drop for the model: record name -> reason."""
+    tag = _model_tag(model)
+    skipped = {}
+    if model.m > MAX_NORMALIZATION_CELLS:
+        skipped[f"normalization-{tag}"] = f"m={model.m} > {MAX_NORMALIZATION_CELLS}"
+    if model.kernel.covariance_scale is None:
+        skipped[f"covariance-{tag}"] = "df <= 2"
+    elif model.m > MAX_COVARIANCE_CELLS:
+        skipped[f"covariance-{tag}"] = f"m={model.m} > {MAX_COVARIANCE_CELLS}"
+    return skipped
+
+
 def run_suite(model, n, stream) -> list:
     """All applicable checks for the model, on independent child streams.
 
     Check order is fixed (normalization, covariance, radial) and each runs on
     ``stream.split(i)``, so the suite reproduces exactly from the master seed.
+    The checks :func:`skipped_checks` names are left out.
     """
     if not model.kernel.has_sampler:
         raise ValueError("no verification check applies to this model")
-    reports = []
-    if model.m <= MAX_NORMALIZATION_CELLS:
-        reports.append(check_normalization(model, n, stream.split(0)))
-    if model.m <= MAX_COVARIANCE_CELLS and model.kernel.covariance_scale is not None:
-        reports.append(check_covariance(model, n, stream.split(1)))
+    skipped, tag = skipped_checks(model), _model_tag(model)
+    checks = {"normalization": check_normalization, "covariance": check_covariance}
+    reports = [check(model, n, stream.split(i)) for i, (kind, check) in enumerate(checks.items())
+               if f"{kind}-{tag}" not in skipped]
     reports.append(check_radial(model.kernel, model.m, n, stream.split(2)))
     return reports

@@ -152,7 +152,36 @@ class TestDensity:
         inp = tmp_path / "xs.arr"
         write_arrays([np.zeros((2, 2)), np.zeros((3, 2))], inp)
         assert run_cli("density", "--factor", f1, "--factor", f2, "--input", inp) == 2
-        assert "array 2" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "array 2" in captured.err
+
+    def test_input_without_arrays_prints_nothing(self, tmp_path, model_files, capsys):
+        f1, f2, _ = model_files
+        empty, blank = tmp_path / "empty.arr", tmp_path / "blank.arr"
+        empty.write_text("")
+        blank.write_text("\n\n")
+        for inp in (empty, blank):
+            assert run_cli("density", "--factor", f1, "--factor", f2, "--input", inp) == 0
+            assert capsys.readouterr().out == ""
+
+    def test_batched_values_match_single_array_logpdf(self, tmp_path, capsys):
+        from arrayvariate.densities import Kernel, KroneckerModel, logpdf_elliptical
+
+        gen = np.random.default_rng(302)
+        a1 = np.eye(2) + 0.3 * gen.standard_normal((2, 2))
+        a2 = np.eye(3) + 0.3 * gen.standard_normal((3, 3))
+        xs = [gen.standard_normal((2, 3)) for _ in range(9)]
+        p1, p2, inp = tmp_path / "a1.mat", tmp_path / "a2.mat", tmp_path / "xs.arr"
+        write_matrix(a1, p1)
+        write_matrix(a2, p2)
+        write_arrays(xs, inp)
+        assert run_cli("density", "--kernel", "t", "--df", 3, "--factor", p1, "--factor", p2,
+                       "--input", inp, "--input", inp) == 0
+        values = [float(v) for v in capsys.readouterr().out.splitlines()]
+        model = KroneckerModel(np.zeros((2, 3)), [a1, a2], Kernel.student_t(3.0))
+        expected = [logpdf_elliptical(model, x) for x in xs] * 2
+        np.testing.assert_allclose(values, expected, rtol=1e-13)
 
     def test_non_finite_array_exits_2(self, tmp_path, model_files, capsys):
         f1, f2, _ = model_files
@@ -225,7 +254,9 @@ class TestVerify:
         f1, f2, _ = model_files
         code = run_cli("verify", "--factor", f1, "--factor", f2, "--n", 20_000, "--seed", 5)
         assert code == 0
-        lines = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        assert captured.err == ""  # every check applies: no skip notes
+        lines = captured.out.splitlines()
         assert len(lines) == 3
         assert all(line.split()[5] == "pass" for line in lines)
 
@@ -244,10 +275,24 @@ class TestVerify:
         write_matrix(np.eye(8), f)
         assert run_cli("verify", "--factor", f, "--factor", f, "--factor", f,
                        "--n", 10_000, "--seed", 3) == 0
-        (record,) = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        (record,) = captured.out.splitlines()
         fields = record.split()
         assert fields[0] == "radial-normal-m512"
         assert fields[5] == "pass"
+        assert captured.err.splitlines() == [
+            "note: skipped normalization-normal-8x8x8: m=512 > 6",
+            "note: skipped covariance-normal-8x8x8: m=512 > 16",
+        ]
+
+    def test_infinite_covariance_check_skipped_with_note(self, model_files, capsys):
+        f1, f2, _ = model_files
+        assert run_cli("verify", "--kernel", "t", "--df", 2, "--factor", f1, "--factor", f2,
+                       "--n", 10_000, "--seed", 4) == 0
+        captured = capsys.readouterr()
+        names = [line.split()[0] for line in captured.out.splitlines()]
+        assert names == ["normalization-t2-2x2", "radial-t2-m4"]
+        assert captured.err.splitlines() == ["note: skipped covariance-t2-2x2: df <= 2"]
 
     def test_deterministic_output(self, tmp_path, model_files):
         f1, f2, _ = model_files

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrayvariate import array_core as ac
 from arrayvariate import multilinear as ml
 from arrayvariate.errors import SingularMatrixError
+from arrayvariate.kronecker import inv_kron_chain
 from support import random_shape, well_conditioned
 
 
@@ -34,6 +37,47 @@ class TestRMultiply:
             ml.r_multiply([np.eye(2)], x)
         with pytest.raises(ValueError, match="mode 2"):
             ml.r_multiply([np.eye(2), np.eye(2)], x)
+
+
+@st.composite
+def engine_cases(draw):
+    """Mode maps, stacked rows and their shape: orders 1-4, dimensions 1-4
+    (unit ones included), rectangular maps, and 0, 1 or several rows."""
+    order = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
+    qs = draw(st.lists(st.integers(1, 4), min_size=order, max_size=order))
+    n = draw(st.integers(0, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = [gen.standard_normal((q, m)) for q, m in zip(qs, dims)]
+    return maps, gen.standard_normal((n, int(np.prod(dims)))), dims
+
+
+def assert_close_to_largest_cell(out, expected):
+    assert out.shape == expected.shape
+    if expected.size:
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestApplyModes:
+    @settings(max_examples=200)
+    @given(engine_cases())
+    def test_matches_nested_sum_oracle(self, case):
+        maps, rows, dims = case
+        out = ml.apply_modes(maps, rows, dims)
+        expected = [ac.rvec(ml.r_multiply_oracle(maps, ac.unrvec(row, dims))) for row in rows]
+        q = int(np.prod([a.shape[0] for a in maps]))
+        assert_close_to_largest_cell(out, np.array(expected).reshape(len(rows), q))
+
+    @settings(max_examples=200)
+    @given(engine_cases())
+    def test_matches_expanded_chain(self, case):
+        maps, rows, dims = case
+        out = ml.apply_modes(maps, rows, dims)
+        assert_close_to_largest_cell(out, (inv_kron_chain(maps) @ rows.T).T)
+
+    def test_row_width_error(self):
+        with pytest.raises(ValueError, match=r"\(n, 6\)"):
+            ml.apply_modes([np.eye(2), np.eye(3)], np.zeros((4, 5)), (2, 3))
 
 
 class TestOracle:
@@ -109,17 +153,18 @@ class TestComposition:
         assert ml.composition_check(maps_a, maps_b, x) == 0.0
 
     def test_mode_order_independence(self):
-        # square maps applied one mode at a time, in any order, agree
+        # square maps applied one mode at a time (identity elsewhere), in any order, agree
         gen = np.random.default_rng(47)
         dims = (2, 3, 2)
         maps = [gen.standard_normal((m, m)) for m in dims]
         x = gen.standard_normal(dims)
         expected = ml.r_multiply(maps, x)
         for order in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):
-            out = x
+            rows = ac.rvec(x)[None, :]
             for j in order:
-                out = ml.apply_mode(maps[j], j, out)
-            np.testing.assert_allclose(out, expected, atol=1e-12)
+                one_mode = [maps[k] if k == j else np.eye(m) for k, m in enumerate(dims)]
+                rows = ml.apply_modes(one_mode, rows, dims)
+            np.testing.assert_allclose(ac.unrvec(rows[0], dims), expected, atol=1e-12)
 
 
 class TestLstsq:
