@@ -25,25 +25,20 @@ from .array_core import (
 from .densities import (
     Kernel,
     KroneckerModel,
-    density,
-    kernel_pdf,
     log_jacobian,
     log_kernel_pdf,
     logpdf_elliptical,
     logpdf_elliptical_rvecs,
-    logpdf_normal,
-    logpdf_t,
     radial_pdf,
     standardize,
 )
 from .errors import FormatError, SingularMatrixError
-from .kronecker import chain_det, chain_trace, inv_kron, inv_kron_chain
+from .kronecker import chain_trace, inv_kron, inv_kron_chain
 from .linalg import (
     dump_matrix,
     inverse,
     l_inverse,
     logabsdet,
-    lu_det,
     parse_matrix,
     read_matrix,
     solve,

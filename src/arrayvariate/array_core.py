@@ -116,22 +116,28 @@ def fiber(x, mode, fixed) -> np.ndarray:
 #   then:    m whitespace-separated reals in stacked (first index fastest) order
 #
 # Several arrays may follow one another in a file, separated by blank lines.
+# MATV1 (:mod:`arrayvariate.linalg`) is the same record grammar under its own
+# header, so both formats are written by :func:`dump_record` and read by
+# :func:`parse_records`.
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
+def format_float(v: float) -> str:
     # 17 significant digits: lossless float64 round trip
     return f"{float(v):.17g}"
+
+
+def dump_record(header, dims, values, per_line) -> str:
+    """Render one record: the header, the dims line, then ``per_line`` values to a line."""
+    lines = [header, "dims " + " ".join(str(d) for d in dims)]
+    for start in range(0, values.size, per_line):
+        lines.append(" ".join(format_float(t) for t in values[start:start + per_line]))
+    return "\n".join(lines) + "\n"
 
 
 def dump_array(x) -> str:
     """Render one array in ARRV1 text form (one mode-1 fiber per line)."""
     a = as_array(x)
-    lines = ["ARRV1", "dims " + " ".join(str(d) for d in a.shape)]
-    v = rvec(a)
-    m1 = a.shape[0]
-    for start in range(0, v.size, m1):
-        lines.append(" ".join(_fmt(t) for t in v[start:start + m1]))
-    return "\n".join(lines) + "\n"
+    return dump_record("ARRV1", a.shape, rvec(a), a.shape[0])
 
 
 def dump_arrays(arrays) -> str:
@@ -144,13 +150,16 @@ def write_arrays(arrays, path) -> None:
         fh.write(dump_arrays(arrays))
 
 
-def parse_arrays(text, source="<string>") -> list:
-    """Parse zero or more ARRV1 arrays from ``text``.
+def parse_records(text, source, header, order=None) -> list:
+    """Parse zero or more ``header`` records from ``text`` into ``(dims, values)`` pairs.
 
-    Raises :class:`FormatError` with ``source:line:`` on any malformed input.
+    ``values`` holds a record's reals in file order.  With ``order`` set, every
+    dims line must list exactly that many dimensions.  Raises
+    :class:`FormatError` with ``source:line:`` on any malformed input,
+    including a nan or inf value.
     """
     lines = text.splitlines()
-    arrays = []
+    records = []
     lineno = 0
     n_lines = len(lines)
 
@@ -161,10 +170,10 @@ def parse_arrays(text, source="<string>") -> list:
         while lineno < n_lines and not lines[lineno].strip():
             lineno += 1
         if lineno >= n_lines:
-            return arrays
-        header = lines[lineno].strip()
-        if header != "ARRV1":
-            fail(lineno + 1, f"expected ARRV1 header, got {header!r}")
+            return records
+        got = lines[lineno].strip()
+        if got != header:
+            fail(lineno + 1, f"expected {header} header, got {got!r}")
         lineno += 1
         if lineno >= n_lines:
             fail(lineno, "missing dims line")
@@ -177,6 +186,8 @@ def parse_arrays(text, source="<string>") -> list:
             fail(lineno + 1, f"non-integer dimension in {lines[lineno].strip()!r}")
         if len(dims) < 1 or any(d < 1 for d in dims):
             fail(lineno + 1, f"invalid dims {dims}")
+        if order is not None and len(dims) != order:
+            fail(lineno + 1, f"expected {order} dims, got {len(dims)}")
         lineno += 1
         m = shape_size(dims)
         data_start = lineno
@@ -196,21 +207,23 @@ def parse_arrays(text, source="<string>") -> list:
                     fail(lineno + 1, f"bad numeric token {t!r}")
             lineno += 1
         values = np.array(values)
-        reject_nonfinite(values, lines, data_start, fail)
-        arrays.append(unrvec(values, dims))
+        if not np.isfinite(values).all():
+            # name the line of the first nan/inf; looked up only on failure
+            index = int(np.argmin(np.isfinite(values)))
+            for ln in range(data_start, lineno):
+                tokens = lines[ln].split()
+                if index < len(tokens):
+                    fail(ln + 1, f"non-finite value {tokens[index]!r}")
+                index -= len(tokens)
+        records.append((dims, values))
 
 
-def reject_nonfinite(values, lines, start, fail) -> None:
-    """Call ``fail(line, msg)`` at the first nan/inf among ``values``, the tokens
-    of ``lines[start:]``; the line is looked up only on failure."""
-    if np.isfinite(values).all():
-        return
-    index = int(np.argmin(np.isfinite(values)))
-    for ln in range(start, len(lines)):
-        tokens = lines[ln].split()
-        if index < len(tokens):
-            fail(ln + 1, f"non-finite value {tokens[index]!r}")
-        index -= len(tokens)
+def parse_arrays(text, source="<string>") -> list:
+    """Parse zero or more ARRV1 arrays from ``text``.
+
+    Raises :class:`FormatError` with ``source:line:`` on any malformed input.
+    """
+    return [unrvec(values, dims) for dims, values in parse_records(text, source, "ARRV1")]
 
 
 def read_arrays(path) -> list:

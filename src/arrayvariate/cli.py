@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .array_core import dump_arrays, read_array, read_arrays, rvec, unrvec
+from .array_core import dump_arrays, format_float, read_array, read_arrays, rvec, unrvec
 from .densities import Kernel, KroneckerModel, logpdf_elliptical_rvecs, radial_pdf
 from .errors import FormatError, SingularMatrixError
 from .linalg import read_matrix
@@ -37,10 +37,6 @@ VERIFY_MIN_SAMPLES = 10_000
 
 class UsageError(ValueError):
     pass
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 def _write_text(text, out_path):
@@ -95,7 +91,7 @@ def cmd_density(args) -> int:
         if x.shape != model.shape:
             raise UsageError(f"array {idx}: shape {x.shape} does not match model shape {model.shape}")
     rows = np.array([rvec(x) for x in arrays]).reshape(len(arrays), model.m)
-    _write_text("".join(_fmt(v) + "\n" for v in logpdf_elliptical_rvecs(model, rows)), args.out)
+    _write_text("".join(format_float(v) + "\n" for v in logpdf_elliptical_rvecs(model, rows)), args.out)
     return 0
 
 
@@ -129,13 +125,16 @@ def cmd_radial(args) -> int:
         raise UsageError(f"--rmax must be finite and > 0, got {args.rmax:g}")
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    if not math.isfinite(args.rmax * args.steps):
+        # the grid point rmax * j / steps would overflow before the division
+        raise UsageError(f"--rmax times --steps must be finite, got {args.rmax:g} * {args.steps}")
     if args.n < 1:
         raise UsageError("--n (the dimension of the radial law) must be >= 1")
     kernel = _build_kernel(args)
     lines = []
     for j in range(args.steps + 1):
         r = args.rmax * j / args.steps
-        lines.append(f"{_fmt(r)} {_fmt(radial_pdf(kernel, r, args.n))}")
+        lines.append(f"{format_float(r)} {format_float(radial_pdf(kernel, r, args.n))}")
     _write_text("".join(line + "\n" for line in lines), args.out)
     return 0
 

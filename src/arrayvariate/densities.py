@@ -5,23 +5,23 @@ A Kronecker model couples a location array ``M`` with one non-singular
 (undoing the shift and the per-mode maps), feeding the squared norm of the
 standardized array to a spherical kernel pdf, and subtracting the log volume
 change of the multilinear transform.  A batch is centered straight into the
-batch-trailing layout of :func:`~arrayvariate.multilinear.apply_modes`, which
-single arrays pass through too.  Everything is computed and exposed in log
-space; :func:`density` exponentiates as a convenience but underflows for
-large arrays.
+batch-trailing layout of :func:`~arrayvariate.multilinear.apply_modes`, and
+a single array is evaluated as a batch of one.  Everything is computed and
+exposed in log space.
 """
 
 import math
 
 import numpy as np
 from scipy import stats
-from scipy.special import betainc, gammainc, gammaln, xlogy
+from scipy.special import betainc, betaln, gammainc, gammaln, xlogy
 
 from . import linalg
-from .array_core import as_array, rvec, sq_norm
+from .array_core import as_array, rvec
 from .errors import SingularMatrixError
 from .multilinear import apply_modes, r_multiply
 
+LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -98,10 +98,6 @@ class Kernel:
         """n divisors d of the Gaussian radius: a draw's radius is ``||z|| / d``."""
         raise NotImplementedError(f"no sampler for {self.name!r} kernels")
 
-    def chi_radii(self, m, n, gen):
-        """n draws of ``||z||`` for an m-variate standard normal z."""
-        return np.linalg.norm(gen.standard_normal((n, m)), axis=1)
-
     def importance_proposal(self, mu, k, n, gen):
         """n draws from a proposal centered at ``mu`` with scale ``2 K``, and their log-densities."""
         raise ValueError(f"no importance proposal for {self.name!r} kernels")
@@ -121,10 +117,6 @@ class NormalKernel(Kernel):
 
     def radius_divisor(self, n, gen):
         return 1.0
-
-    def chi_radii(self, m, n, gen):
-        # one chi-square draw per radius: O(n) memory; seeded verify records depend on this draw
-        return np.sqrt(gen.chisquare(m, size=n))
 
     def importance_proposal(self, mu, k, n, gen):
         m = mu.size
@@ -155,11 +147,13 @@ class StudentKernel(Kernel):
         return super().__repr__() if self.name == "cauchy" else f"Kernel.student_t({self.df})"
 
     def log_profile(self, t, k):
+        # Gamma((v+k)/2) / Gamma(v/2) as Gamma(k/2) / B(v/2, k/2): the gammaln
+        # difference cancels catastrophically at large df, and v * pi overflows
         v = self.df
         return (
-            gammaln(0.5 * (v + k))
-            - gammaln(0.5 * v)
-            - 0.5 * k * math.log(v * math.pi)
+            gammaln(0.5 * k)
+            - betaln(0.5 * v, 0.5 * k)
+            - 0.5 * k * (math.log(v) + LOG_PI)
             - 0.5 * (v + k) * np.log1p(t / v)
         )
 
@@ -210,11 +204,6 @@ def log_kernel_pdf(kernel, t, k):
         raise ValueError("squared radius t must be >= 0")
     out = kernel.log_profile(t, _check_dimension(k))
     return out if out.ndim else float(out)
-
-
-def kernel_pdf(kernel, t, k):
-    """Spherical kernel density value; see :func:`log_kernel_pdf`."""
-    return np.exp(log_kernel_pdf(kernel, t, k))
 
 
 def radial_pdf(kernel, r, k):
@@ -299,40 +288,30 @@ def log_jacobian(factors, squared=False) -> float:
     return 2.0 * total if squared else total
 
 
+def _checked_array(model, x) -> np.ndarray:
+    x = as_array(x)
+    if x.shape != model.shape:
+        raise ValueError(f"array shape {x.shape} does not match model shape {model.shape}")
+    return x
+
+
 def standardize(model, x) -> np.ndarray:
     """Undo the model's shift and per-mode maps: ``(A1^-1, ...) applied to (x - M)``.
 
     Inverted exactly by ``r_multiply(model.factors, z) + model.mean``.
     """
-    x = as_array(x)
-    if x.shape != model.shape:
-        raise ValueError(f"array shape {x.shape} does not match model shape {model.shape}")
-    return r_multiply(model.inv_factors, x - model.mean)
-
-
-def logpdf_normal(model, x) -> float:
-    """Log-density of the multiway normal law with the model's location and factors."""
-    return _logpdf_one(model, Kernel.normal(), x)
+    return r_multiply(model.inv_factors, _checked_array(model, x) - model.mean)
 
 
 def logpdf_elliptical(model, x) -> float:
     """Log-density of the elliptically contoured law driven by the model's kernel.
 
     The value depends on ``x`` only through the squared norm of the
-    standardized array, evaluated by the kernel at dimension ``m``.
+    standardized array, evaluated by the kernel at dimension ``m``; build the
+    model with ``Kernel.normal()`` or ``Kernel.student_t(df)`` for the
+    multiway normal or t law.
     """
-    return _logpdf_one(model, model.kernel, x)
-
-
-def logpdf_t(model, x, df) -> float:
-    """Log-density of the multiway t law with ``df`` degrees of freedom.
-
-    Identical to :func:`logpdf_elliptical` with a ``student_t(df)`` kernel;
-    the ``1/df`` inside the quadratic term and the ``(df pi)^(m/2)`` in the
-    normalizer are required for the one-cell case to reduce to the univariate
-    Student t.
-    """
-    return _logpdf_one(model, Kernel.student_t(df), x)
+    return float(logpdf_elliptical_rvecs(model, rvec(_checked_array(model, x))[None, :])[0])
 
 
 def logpdf_elliptical_rvecs(model, rows) -> np.ndarray:
@@ -349,16 +328,3 @@ def logpdf_elliptical_rvecs(model, rows) -> np.ndarray:
     z = apply_modes(model.inv_factors, centered.T, model.shape)
     q = np.einsum("ij,ij->i", z, z)
     return np.asarray(log_kernel_pdf(model.kernel, q, model.m)) - model.log_jac
-
-
-def _logpdf_one(model, kernel, x) -> float:
-    return float(log_kernel_pdf(kernel, sq_norm(standardize(model, x)), model.m)) - model.log_jac
-
-
-def density(model, x) -> float:
-    """Plain density value ``exp(logpdf_elliptical(model, x))``.
-
-    Convenience only: overflow/underflow-prone as the cell count grows; work
-    in log space whenever values are combined.
-    """
-    return math.exp(logpdf_elliptical(model, x))

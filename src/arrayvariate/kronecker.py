@@ -1,4 +1,4 @@
-"""The reversed Kronecker product ``A (x)' B = B (x) A`` and chain shortcuts.
+"""The reversed Kronecker product ``A (x)' B = B (x) A`` and the chain trace shortcut.
 
 The reversal is what makes chained per-mode maps act directly on the
 first-index-fastest stacked vector: the classical identity
@@ -6,6 +6,7 @@ first-index-fastest stacked vector: the classical identity
 and folding the product left to right over an ordered factor list
 ``(A1, ..., Ai)`` yields the single matrix representing the whole multilinear
 map on stacked vectors, with the factor order matching the mode order.
+The chain's log-determinant is :func:`arrayvariate.densities.log_jacobian`.
 """
 
 from functools import reduce
@@ -13,7 +14,6 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
-from .array_core import shape_size
 
 
 def inv_kron(a, b) -> np.ndarray:
@@ -44,22 +44,6 @@ def inv_kron_chain(factors) -> np.ndarray:
     and oracles, not for density or sampling hot paths.
     """
     return reduce(inv_kron, _factor_list(factors))
-
-
-def chain_det(factors) -> float:
-    """Determinant of the expanded chain without expanding it.
-
-    Equals ``prod_j det(Aj) ** (m / mj)`` where ``m`` is the product of the
-    factor orders.  Can overflow for long chains; density code accumulates
-    log-determinants instead.
-    """
-    fs = _square_factors(factors)
-    dims = [f.shape[0] for f in fs]
-    m = shape_size(dims)
-    out = 1.0
-    for f, mj in zip(fs, dims):
-        out *= linalg.lu_det(f) ** (m // mj)
-    return out
 
 
 def chain_trace(factors) -> float:

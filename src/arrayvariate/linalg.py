@@ -1,4 +1,4 @@
-"""Small dense matrix kernel: LU/Cholesky factorizations, determinants,
+"""Small dense matrix kernel: LU/Cholesky factorizations, log-determinants,
 inverses and the left inverse ``(A'A)^{-1}A'`` used by least squares.
 
 Everything here targets the tiny per-mode factors of a Kronecker model, so
@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .array_core import reject_nonfinite
+from .array_core import dump_record, parse_records
 from .errors import FormatError, SingularMatrixError
 
 # Reject a factorization when min |pivot| < PIVOT_RTOL * max |pivot|.
@@ -32,28 +32,16 @@ def _square(a) -> np.ndarray:
     return a
 
 
-def _lu_factor(a):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # exact-zero pivot warning; handled by callers
-        return scipy.linalg.lu_factor(a, check_finite=False)
-
-
 def _checked_lu(a):
-    lu, piv = _lu_factor(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # exact-zero pivot warning; the pivot test below rejects it
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     d = np.abs(np.diag(lu))
     if d.max() == 0.0 or d.min() < PIVOT_RTOL * d.max():
         raise SingularMatrixError(
             f"matrix is singular to working precision (pivot ratio below {PIVOT_RTOL:g})"
         )
     return lu, piv
-
-
-def lu_det(a) -> float:
-    """Determinant via LU with partial pivoting; sign taken from the permutation."""
-    a = _square(a)
-    lu, piv = _lu_factor(a)
-    sign = -1.0 if np.count_nonzero(piv != np.arange(a.shape[0])) % 2 else 1.0
-    return float(sign * np.prod(np.diag(lu)))
 
 
 def logabsdet(a) -> float:
@@ -103,7 +91,8 @@ def l_inverse(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# MATV1 text format
+# MATV1 text format: the ARRV1 record grammar (see arrayvariate.array_core)
+# with exactly one record per file
 #
 #   line 1:  MATV1
 #   line 2:  dims r c
@@ -112,10 +101,7 @@ def l_inverse(a) -> np.ndarray:
 
 def dump_matrix(a) -> str:
     a = as_matrix(a)
-    lines = ["MATV1", f"dims {a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{float(v):.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return dump_record("MATV1", a.shape, a.ravel(), a.shape[1])
 
 
 def write_matrix(a, path) -> None:
@@ -125,47 +111,11 @@ def write_matrix(a, path) -> None:
 
 def parse_matrix(text, source="<string>") -> np.ndarray:
     """Parse one MATV1 matrix; :class:`FormatError` names source and line."""
-    lines = text.splitlines()
-
-    def fail(ln, msg):
-        raise FormatError(f"{source}:{ln}: {msg}")
-
-    lineno = 0
-    while lineno < len(lines) and not lines[lineno].strip():
-        lineno += 1
-    if lineno >= len(lines) or lines[lineno].strip() != "MATV1":
-        got = lines[lineno].strip() if lineno < len(lines) else "<end of input>"
-        fail(lineno + 1, f"expected MATV1 header, got {got!r}")
-    lineno += 1
-    if lineno >= len(lines):
-        fail(lineno, "missing dims line")
-    parts = lines[lineno].split()
-    if len(parts) != 3 or parts[0] != "dims":
-        fail(lineno + 1, "expected 'dims r c' line")
-    try:
-        r, c = int(parts[1]), int(parts[2])
-    except ValueError:
-        fail(lineno + 1, f"non-integer dimensions in {lines[lineno].strip()!r}")
-    if r < 1 or c < 1:
-        fail(lineno + 1, f"invalid dimensions {r}x{c}")
-    lineno += 1
-    data_start = lineno
-    values = []
-    total = r * c
-    while lineno < len(lines):
-        for t in lines[lineno].split():
-            if len(values) == total:
-                fail(lineno + 1, f"extra token {t!r} after {total} values")
-            try:
-                values.append(float(t))
-            except ValueError:
-                fail(lineno + 1, f"bad numeric token {t!r}")
-        lineno += 1
-    if len(values) != total:
-        fail(len(lines), f"unexpected end of input: got {len(values)} of {total} values")
-    values = np.array(values)
-    reject_nonfinite(values, lines, data_start, fail)
-    return values.reshape(r, c)
+    records = parse_records(text, source, "MATV1", order=2)
+    if len(records) != 1:
+        raise FormatError(f"{source}:1: expected exactly one matrix, found {len(records)}")
+    dims, values = records[0]
+    return values.reshape(dims)
 
 
 def read_matrix(path) -> np.ndarray:

@@ -61,13 +61,13 @@ def sample_std_normal_array(shape, stream) -> np.ndarray:
 def sample_radii(kernel, m, n, stream) -> np.ndarray:
     """n radius draws of the kernel's spherical law in dimension m.
 
-    Normal kernel: ``sqrt(chi2_m)``.  t kernel with df v: ``||z|| / sqrt(w/v)``
-    with z an m-variate standard normal and w a chi2_v draw.
+    Normal kernel: ``sqrt(chi2_m)``.  t kernel with df v: ``sqrt(chi2_m) / sqrt(w/v)``
+    with w a chi2_v draw, the two chi-square draws made in that order.
     """
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
     gen = stream.generator
-    return kernel.chi_radii(m, n, gen) / kernel.radius_divisor(n, gen)
+    return np.sqrt(gen.chisquare(m, size=n)) / kernel.radius_divisor(n, gen)
 
 
 def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:

@@ -20,6 +20,13 @@ def random_shape(gen, max_order=4, max_dim=4, max_cells=512):
             return dims
 
 
+def with_kernel(model, kernel):
+    """The model's location and factors under another kernel."""
+    from arrayvariate import KroneckerModel
+
+    return KroneckerModel(model.mean, model.factors, kernel)
+
+
 def random_model(gen, dims, kernel):
     from arrayvariate import KroneckerModel, unrvec
 

@@ -319,6 +319,7 @@ class TestRadial:
         assert run_cli("radial", "--kernel", "normal", "--n", 0, "--rmax", 1, "--steps", 2) == 2
         assert run_cli("radial", "--kernel", "normal", "--n", 2, "--rmax", "inf", "--steps", 4) == 2
         assert run_cli("radial", "--kernel", "t", "--df", "inf", "--n", 2, "--rmax", 1, "--steps", 4) == 2
+        assert run_cli("radial", "--kernel", "normal", "--n", 2, "--rmax", "1e308", "--steps", 2) == 2
         assert capsys.readouterr().out == ""
 
     def test_t_kernel_grid(self, capsys):

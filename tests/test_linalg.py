@@ -7,22 +7,18 @@ from support import well_conditioned
 
 
 class TestLuDet:
+    """log |det A| read off the pivots of the LU factorization."""
+
     def test_identity(self):
         for n in (1, 2, 5):
-            assert linalg.lu_det(np.eye(n)) == 1.0
+            assert linalg.logabsdet(np.eye(n)) == 0.0
 
     def test_diagonal(self):
-        assert linalg.lu_det(np.diag([2.0, 3.0])) == pytest.approx(6.0, rel=1e-14)
-
-    def test_swap_has_negative_det(self):
-        assert linalg.lu_det(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(-1.0)
-
-    def test_singular_is_zero(self):
-        assert linalg.lu_det(np.array([[1.0, 2.0], [2.0, 4.0]])) == pytest.approx(0.0, abs=1e-14)
+        assert linalg.logabsdet(np.diag([2.0, 3.0])) == pytest.approx(np.log(6.0), rel=1e-14)
 
     def test_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            linalg.lu_det(np.zeros((2, 3)))
+            linalg.logabsdet(np.zeros((2, 3)))
 
     def test_multiplicative(self):
         gen = np.random.default_rng(21)
@@ -30,9 +26,9 @@ class TestLuDet:
             n = int(gen.integers(2, 7))
             a = gen.standard_normal((n, n))
             b = gen.standard_normal((n, n))
-            lhs = linalg.lu_det(a @ b)
-            rhs = linalg.lu_det(a) * linalg.lu_det(b)
-            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+            lhs = linalg.logabsdet(a @ b)
+            rhs = linalg.logabsdet(a) + linalg.logabsdet(b)
+            assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 class TestInverse:
@@ -66,7 +62,7 @@ class TestLogAbsDet:
         gen = np.random.default_rng(23)
         for _ in range(50):
             a = well_conditioned(gen, int(gen.integers(1, 6)))
-            assert linalg.logabsdet(a) == pytest.approx(np.log(abs(linalg.lu_det(a))), abs=1e-11)
+            assert linalg.logabsdet(a) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-11)
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
@@ -153,3 +149,39 @@ class TestMatv1:
     def test_extra_token(self):
         with pytest.raises(FormatError, match="extra token"):
             linalg.parse_matrix("MATV1\ndims 1 2\n1 2 3\n")
+
+
+# MATV1 is the ARRV1 record grammar under its own header. Each case parses to
+# the given values or fails with (line, message) under the source name f.mat.
+MATV1_CASES = [
+    pytest.param("MATV1\ndims 2 2\n1 2\n3 4\n", [[1, 2], [3, 4]], id="canonical"),
+    pytest.param("\n\nMATV1\ndims 1 2\n1 2\n", [[1, 2]], id="leading-blank-lines"),
+    pytest.param("MATV1\ndims 1 1\n5\n\n\n", [[5]], id="trailing-blank-lines"),
+    pytest.param("MATV1\ndims 1 1\n7", [[7]], id="no-final-newline"),
+    pytest.param("  MATV1 \ndims\t2 3\n 1\t2 3 4 5\n6 \n", [[1, 2, 3], [4, 5, 6]], id="free-whitespace"),
+    pytest.param("MATV1\ndims 2 1\n1\n\n2\n", [[1], [2]], id="blank-line-inside-data"),
+    pytest.param("MATV1\ndims 1 2\n-1e-3 +2.5E+2\n", [[-1e-3, 250.0]], id="exponent-forms"),
+    pytest.param("", (1, "exactly one matrix, found 0"), id="empty"),
+    pytest.param("\n \n", (1, "exactly one matrix, found 0"), id="blank-only"),
+    pytest.param("ARRV1\ndims 1 1\n1\n", (1, "expected MATV1 header"), id="arrv1-header"),
+    pytest.param("MATV1\n", (1, "missing dims line"), id="missing-dims"),
+    pytest.param("MATV1\nsize 2 2\n1 2 3 4\n", (2, "dims"), id="bad-dims-keyword"),
+    pytest.param("MATV1\ndims 4\n1 2 3 4\n", (2, "expected 2 dims, got 1"), id="one-dim"),
+    pytest.param("MATV1\ndims 1 2 2\n1 2 3 4\n", (2, "expected 2 dims, got 3"), id="three-dims"),
+    pytest.param("MATV1\ndims 2 x\n", (2, "non-integer"), id="non-integer-dim"),
+    pytest.param("MATV1\ndims 0 2\n", (2, "invalid dims"), id="zero-dim"),
+    pytest.param("MATV1\ndims 2 2\n1 2\ninf 4\n", (4, "non-finite value 'inf'"), id="inf-value"),
+    pytest.param("MATV1\ndims 2 2\n1 2\n3 4\n5\n", (5, "expected MATV1 header, got '5'"), id="value-after-matrix"),
+    pytest.param("MATV1\ndims 1 2\n\n1 2\n", (3, "blank line before any data"), id="blank-line-before-data"),
+    pytest.param("MATV1\ndims 1 1\n1\nMATV1\ndims 1 1\n2\n", (1, "exactly one matrix, found 2"), id="two-records"),
+]
+
+
+@pytest.mark.parametrize("text, expected", MATV1_CASES)
+def test_matv1_corner_cases(text, expected):
+    if isinstance(expected, tuple):
+        line, message = expected
+        with pytest.raises(FormatError, match=rf"^f\.mat:{line}: .*{message}"):
+            linalg.parse_matrix(text, source="f.mat")
+    else:
+        np.testing.assert_array_equal(linalg.parse_matrix(text, source="f.mat"), np.array(expected, float))

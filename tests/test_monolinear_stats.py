@@ -53,7 +53,7 @@ class TestDensityConsistency:
             model = random_model(gen, dims, dn.Kernel.normal())
             dist = ms.to_monolinear(model)
             x = model.mean + gen.standard_normal(dims)
-            rel_gap = abs(math.expm1(dn.logpdf_normal(model, x) - dist.logpdf(rvec(x))))
+            rel_gap = abs(math.expm1(dn.logpdf_elliptical(model, x) - dist.logpdf(rvec(x))))
             assert rel_gap <= 1e-10
 
     def test_against_scipy_reference(self):

@@ -82,6 +82,16 @@ class TestRadius:
         radii = sp.sample_radii(dn.Kernel.student_t(4.0), 1, 50_000, sp.RandomStream(106))
         assert stats.kstest(radii, lambda r: 2 * stats.t.cdf(r, 4.0) - 1).pvalue >= 0.01
 
+    @pytest.mark.parametrize("seed", [0, 108])
+    @pytest.mark.parametrize("m", [1, 6, 512])
+    def test_t_radius_is_chi_over_scaled_chi(self, seed, m):
+        df = 5.0
+        gen = np.random.default_rng(seed)
+        chi = np.sqrt(gen.chisquare(m, size=300))
+        expected = chi / np.sqrt(gen.chisquare(df, size=300) / df)
+        radii = sp.sample_radii(dn.Kernel.student_t(df), m, 300, sp.RandomStream(seed))
+        np.testing.assert_array_equal(radii, expected)
+
     def test_nonnegative(self):
         stream = sp.RandomStream(107)
         for kernel in (dn.Kernel.normal(), dn.Kernel.student_t(2.5), dn.Kernel.cauchy()):
