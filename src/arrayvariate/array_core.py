@@ -12,7 +12,9 @@ multi-index in the public API is 1-based; internal numpy indexing stays
 0-based.
 """
 
+import bisect
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -116,33 +118,68 @@ def fiber(x, mode, fixed) -> np.ndarray:
 #   then:    m whitespace-separated reals in stacked (first index fastest) order
 #
 # Several arrays may follow one another in a file, separated by blank lines.
-# MATV1 (:mod:`arrayvariate.linalg`) is the same record grammar under its own
-# header, so both formats are written by :func:`dump_record` and read by
-# :func:`parse_records`.
+# A record's values are its array's rvec, so n arrays of one shape are an
+# (n, m) stack of rows.  MATV1 (:mod:`arrayvariate.linalg`) is the same record
+# grammar under its own header, so both formats are written by
+# :func:`write_records` and read by :func:`parse_records`.  Both handle values
+# a chunk of at most CHUNK at a time: the writer fills one FLOAT_FORMAT
+# template per chunk, and the reader converts a chunk's tokens with one
+# ``map(float, ...)``, so a value token is anything ``float()`` accepts.
 # ---------------------------------------------------------------------------
 
-def format_float(v: float) -> str:
-    # 17 significant digits: lossless float64 round trip
-    return f"{float(v):.17g}"
+# Values per `%` template when writing and tokens per bulk conversion when
+# reading.  4,096 formats and parses as fast as 65,536 did, and keeps the
+# reader's list of pending token strings near 0.25 MB.
+CHUNK = 4096
+FLOAT_FORMAT = "%.17g"  # 17 significant digits: lossless float64 round trip
 
 
-def dump_record(header, dims, values, per_line) -> str:
-    """Render one record: the header, the dims line, then ``per_line`` values to a line."""
-    lines = [header, "dims " + " ".join(str(d) for d in dims)]
-    for start in range(0, values.size, per_line):
-        lines.append(" ".join(format_float(t) for t in values[start:start + per_line]))
-    return "\n".join(lines) + "\n"
+def write_records(header, dims, rows, per_line, write) -> None:
+    """Write each row of the ``(n, m)`` stack ``rows`` as one ``header`` record.
 
-
-def dump_array(x) -> str:
-    """Render one array in ARRV1 text form (one mode-1 fiber per line)."""
-    a = as_array(x)
-    return dump_record("ARRV1", a.shape, rvec(a), a.shape[0])
+    Every record has the dims line ``dims`` and ``per_line`` values to a line;
+    records are blank-line separated.  ``write`` receives the text in pieces
+    of at most CHUNK values each.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n, m = rows.shape
+    if per_line < 1:
+        raise ValueError(f"cannot write {per_line} values to a line")
+    full, rest = divmod(m, per_line)
+    body = (" ".join([FLOAT_FORMAT] * per_line) + "\n") * full
+    if rest:
+        body += " ".join([FLOAT_FORMAT] * rest) + "\n"
+    # every record but the first opens with the blank separator line
+    head = f"\n{header}\ndims {' '.join(str(d) for d in dims)}\n"
+    if m <= CHUNK:
+        per_chunk = CHUNK // max(m, 1)
+        for start in range(0, n, per_chunk):
+            chunk = rows[start:start + per_chunk]
+            template = (head + body) * len(chunk)
+            write((template[1:] if start == 0 else template) % tuple(chunk.ravel().tolist()))
+        return
+    width = len(FLOAT_FORMAT) + 1  # a placeholder and the separator after it
+    for i, row in enumerate(rows):
+        for start in range(0, m, CHUNK):
+            template = body[width * start:width * (start + CHUNK)]
+            if start == 0:
+                template = (head if i else head[1:]) + template
+            write(template % tuple(row[start:start + CHUNK].tolist()))
 
 
 def dump_arrays(arrays) -> str:
-    """Render a sequence of arrays, blank-line separated."""
-    return "\n".join(dump_array(a) for a in arrays)
+    """Render a sequence of arrays, blank-line separated, one mode-1 fiber per line."""
+    out = []
+    for shape, group in groupby(map(as_array, arrays), key=np.shape):
+        if out:
+            out.append("\n")
+        write_records("ARRV1", shape, [rvec(a) for a in group], shape[0], out.append)
+    return "".join(out)
+
+
+def dump_array(x) -> str:
+    """Render one array in ARRV1 text form."""
+    return dump_arrays([x])
 
 
 def write_arrays(arrays, path) -> None:
@@ -155,67 +192,118 @@ def parse_records(text, source, header, order=None) -> list:
 
     ``values`` holds a record's reals in file order.  With ``order`` set, every
     dims line must list exactly that many dimensions.  Raises
-    :class:`FormatError` with ``source:line:`` on any malformed input,
-    including a nan or inf value.
+    :class:`FormatError` with ``source:line:`` at the first fault in file
+    order, including a nan or inf value, which counts as found once its
+    record has been read in full.
     """
     lines = text.splitlines()
-    records = []
-    lineno = 0
     n_lines = len(lines)
+    shapes, ends = [], []  # dims and value-stream end of every record read in full
+    first_lines = []  # first data line of every record begun; records are contiguous in the stream
+    pieces, pending = [], []  # converted chunks of the value stream; tokens not yet converted
+    converted = 0
+    nonfinite = None  # value-stream position of the first nan/inf
+
+    def locate(at):
+        # (line number, token) of the value at stream position `at`; used
+        # only on failure
+        k = bisect.bisect_right(ends, at)
+        index, ln = at - (ends[k - 1] if k else 0), first_lines[k]
+        while True:
+            tokens = lines[ln].split()
+            if index < len(tokens):
+                return ln + 1, tokens[index]
+            index -= len(tokens)
+            ln += 1
+
+    def flush():
+        # Convert the pending tokens CHUNK at a time and report the first fault
+        # among them that comes before the walk's current line: a bad token,
+        # or a nan/inf in a record read in full.
+        nonlocal converted, nonfinite
+        bad = None
+        for a in range(0, len(pending), CHUNK):
+            chunk = pending[a:a + CHUNK]
+            try:
+                values = np.fromiter(map(float, chunk), float, len(chunk))
+            except ValueError:
+                values = []
+                for t in chunk:
+                    try:
+                        values.append(float(t))
+                    except ValueError:
+                        break
+                bad, values = converted + len(values), np.array(values, dtype=float)
+            finite = np.isfinite(values)
+            if nonfinite is None and not finite.all():
+                nonfinite = converted + int(np.argmin(finite))
+            pieces.append(values)
+            converted += len(values)
+            if bad is not None:
+                break
+        pending.clear()
+        if nonfinite is not None:
+            k = bisect.bisect_right(ends, nonfinite)
+            if k < len(ends) and (bad is None or ends[k] <= bad):
+                ln, token = locate(nonfinite)
+                raise FormatError(f"{source}:{ln}: non-finite value {token!r}")
+        if bad is not None:
+            ln, token = locate(bad)
+            raise FormatError(f"{source}:{ln}: bad numeric token {token!r}")
 
     def fail(ln, msg):
+        flush()  # a value fault earlier in the file is reported first
         raise FormatError(f"{source}:{ln}: {msg}")
 
+    lineno = 0
+    dims_text = None  # the last dims line read: a run of same-shape records repeats it
     while True:
         while lineno < n_lines and not lines[lineno].strip():
             lineno += 1
         if lineno >= n_lines:
-            return records
+            break
         got = lines[lineno].strip()
         if got != header:
             fail(lineno + 1, f"expected {header} header, got {got!r}")
         lineno += 1
         if lineno >= n_lines:
             fail(lineno, "missing dims line")
-        dims_line = lines[lineno].split()
-        if not dims_line or dims_line[0] != "dims":
-            fail(lineno + 1, "expected 'dims m1 m2 ...' line")
-        try:
-            dims = tuple(int(t) for t in dims_line[1:])
-        except ValueError:
-            fail(lineno + 1, f"non-integer dimension in {lines[lineno].strip()!r}")
-        if len(dims) < 1 or any(d < 1 for d in dims):
-            fail(lineno + 1, f"invalid dims {dims}")
-        if order is not None and len(dims) != order:
-            fail(lineno + 1, f"expected {order} dims, got {len(dims)}")
+        if lines[lineno] != dims_text:
+            dims_line = lines[lineno].split()
+            if not dims_line or dims_line[0] != "dims":
+                fail(lineno + 1, "expected 'dims m1 m2 ...' line")
+            try:
+                dims = tuple(int(t) for t in dims_line[1:])
+            except ValueError:
+                fail(lineno + 1, f"non-integer dimension in {lines[lineno].strip()!r}")
+            if len(dims) < 1 or any(d < 1 for d in dims):
+                fail(lineno + 1, f"invalid dims {dims}")
+            if order is not None and len(dims) != order:
+                fail(lineno + 1, f"expected {order} dims, got {len(dims)}")
+            dims_text, m = lines[lineno], shape_size(dims)
         lineno += 1
-        m = shape_size(dims)
-        data_start = lineno
-        values = []
-        while len(values) < m:
+        first_lines.append(lineno)
+        read = 0
+        while read < m:
             if lineno >= n_lines:
-                fail(n_lines, f"unexpected end of input: got {len(values)} of {m} values")
+                fail(n_lines, f"unexpected end of input: got {read} of {m} values")
             tokens = lines[lineno].split()
-            if not tokens and not values:
+            if not tokens and not read:
                 fail(lineno + 1, "blank line before any data values")
-            for t in tokens:
-                if len(values) == m:
-                    fail(lineno + 1, f"extra token {t!r} after {m} values")
-                try:
-                    values.append(float(t))
-                except ValueError:
-                    fail(lineno + 1, f"bad numeric token {t!r}")
+            if len(tokens) > m - read:
+                pending += tokens[:m - read]
+                fail(lineno + 1, f"extra token {tokens[m - read]!r} after {m} values")
+            pending += tokens
+            read += len(tokens)
             lineno += 1
-        values = np.array(values)
-        if not np.isfinite(values).all():
-            # name the line of the first nan/inf; looked up only on failure
-            index = int(np.argmin(np.isfinite(values)))
-            for ln in range(data_start, lineno):
-                tokens = lines[ln].split()
-                if index < len(tokens):
-                    fail(ln + 1, f"non-finite value {tokens[index]!r}")
-                index -= len(tokens)
-        records.append((dims, values))
+            if len(pending) >= CHUNK:
+                flush()
+        shapes.append(dims)
+        ends.append(converted + len(pending))
+    flush()
+    lines.clear()  # free the text's lines before the value stream is joined
+    stream = pieces[0] if len(pieces) == 1 else np.concatenate(pieces or [np.empty(0)])
+    return [(dims, stream[start:end]) for dims, start, end in zip(shapes, [0] + ends, ends)]
 
 
 def parse_arrays(text, source="<string>") -> list:
@@ -224,6 +312,13 @@ def parse_arrays(text, source="<string>") -> list:
     Raises :class:`FormatError` with ``source:line:`` on any malformed input.
     """
     return [unrvec(values, dims) for dims, values in parse_records(text, source, "ARRV1")]
+
+
+def read_records(path, header, order=None) -> list:
+    """:func:`parse_records` on the text of the file at ``path``."""
+    with open(path) as fh:
+        text = fh.read()
+    return parse_records(text, str(path), header, order)
 
 
 def read_arrays(path) -> list:

@@ -7,7 +7,7 @@ function of its arguments, input files and seed, so identical invocations
 produce byte-identical outputs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or format error,
-3 numerical error (singular factor / rank-deficient mode).
+3 numerical error (singular factor, rank-deficient mode, arithmetic overflow).
 
 Examples::
 
@@ -19,17 +19,18 @@ Examples::
 """
 
 import argparse
+import contextlib
 import math
 import sys
 
 import numpy as np
 
-from .array_core import dump_arrays, format_float, read_array, read_arrays, rvec, unrvec
+from .array_core import FLOAT_FORMAT, dump_arrays, read_array, read_records, unrvec, write_records
 from .densities import Kernel, KroneckerModel, logpdf_elliptical_rvecs, radial_pdf
-from .errors import FormatError, SingularMatrixError
+from .errors import FormatError
 from .linalg import read_matrix
 from .multilinear import multilinear_lstsq
-from .sampling import RandomStream, sample_elliptical
+from .sampling import RandomStream, sample_elliptical_rvecs
 from .verify import run_suite, skipped_checks
 
 VERIFY_MIN_SAMPLES = 10_000
@@ -39,12 +40,14 @@ class UsageError(ValueError):
     pass
 
 
-def _write_text(text, out_path):
+@contextlib.contextmanager
+def _output(out_path):
+    """The write function of ``--out``, or of stdout when it is not given."""
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
     else:
         with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh.write
 
 
 def _build_kernel(args) -> Kernel:
@@ -79,19 +82,23 @@ def cmd_sample(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     model = _build_model(args)
-    draws = sample_elliptical(model, args.n, RandomStream(args.seed))
-    _write_text(dump_arrays(draws), args.out)
+    rows = sample_elliptical_rvecs(model, args.n, RandomStream(args.seed))
+    with _output(args.out) as write:
+        write_records("ARRV1", model.shape, rows, model.shape[0], write)
     return 0
 
 
 def cmd_density(args) -> int:
     model = _build_model(args)
-    arrays = [x for path in args.input for x in read_arrays(path)]
-    for idx, x in enumerate(arrays, start=1):
-        if x.shape != model.shape:
-            raise UsageError(f"array {idx}: shape {x.shape} does not match model shape {model.shape}")
-    rows = np.array([rvec(x) for x in arrays]).reshape(len(arrays), model.m)
-    _write_text("".join(format_float(v) + "\n" for v in logpdf_elliptical_rvecs(model, rows)), args.out)
+    records = [record for path in args.input for record in read_records(path, "ARRV1")]
+    for idx, (dims, _) in enumerate(records, start=1):
+        if dims != model.shape:
+            raise UsageError(f"array {idx}: shape {dims} does not match model shape {model.shape}")
+    # an ARRV1 record's values are its array's rvec: stacked, they are the rows
+    rows = np.array([values for _, values in records]).reshape(len(records), model.m)
+    values = logpdf_elliptical_rvecs(model, rows)
+    with _output(args.out) as write:
+        write(f"{FLOAT_FORMAT}\n" * values.size % tuple(values.tolist()))
     return 0
 
 
@@ -103,7 +110,8 @@ def cmd_lstsq(args) -> int:
     maps = [read_matrix(p) for p in args.factor]
     observed = read_array(args.input[0])
     estimate = multilinear_lstsq(maps, observed)
-    _write_text(dump_arrays([estimate]), args.out)
+    with _output(args.out) as write:
+        write(dump_arrays([estimate]))
     return 0
 
 
@@ -114,7 +122,8 @@ def cmd_verify(args) -> int:
     for name, reason in skipped_checks(model).items():
         print(f"note: skipped {name}: {reason}", file=sys.stderr)
     reports = run_suite(model, args.n, RandomStream(args.seed))
-    _write_text("".join(r.line() + "\n" for r in reports), args.out)
+    with _output(args.out) as write:
+        write("".join(r.line() + "\n" for r in reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -125,17 +134,16 @@ def cmd_radial(args) -> int:
         raise UsageError(f"--rmax must be finite and > 0, got {args.rmax:g}")
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    if not math.isfinite(args.rmax * args.steps):
+    if args.steps > sys.float_info.max or not math.isfinite(args.rmax * args.steps):
         # the grid point rmax * j / steps would overflow before the division
         raise UsageError(f"--rmax times --steps must be finite, got {args.rmax:g} * {args.steps}")
     if args.n < 1:
         raise UsageError("--n (the dimension of the radial law) must be >= 1")
     kernel = _build_kernel(args)
-    lines = []
-    for j in range(args.steps + 1):
-        r = args.rmax * j / args.steps
-        lines.append(f"{format_float(r)} {format_float(radial_pdf(kernel, r, args.n))}")
-    _write_text("".join(line + "\n" for line in lines), args.out)
+    grid = [args.rmax * j / args.steps for j in range(args.steps + 1)]
+    table = [v for r in grid for v in (r, radial_pdf(kernel, r, args.n))]
+    with _output(args.out) as write:
+        write(f"{FLOAT_FORMAT} {FLOAT_FORMAT}\n" * len(grid) % tuple(table))
     return 0
 
 
@@ -206,7 +214,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SingularMatrixError as exc:
+    except ArithmeticError as exc:  # SingularMatrixError among them
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, IndexError, NotImplementedError, OSError) as exc:

@@ -13,7 +13,6 @@ exposed in log space.
 import math
 
 import numpy as np
-from scipy import stats
 from scipy.special import betainc, betaln, gammainc, gammaln, xlogy
 
 from . import linalg
@@ -165,6 +164,8 @@ class StudentKernel(Kernel):
         return np.sqrt(gen.chisquare(self.df, size=n) / self.df)
 
     def importance_proposal(self, mu, k, n, gen):
+        from scipy import stats  # deferred: importing scipy.stats takes most of a cold start
+
         proposal = stats.multivariate_t(loc=mu, shape=4.0 * (k @ k.T), df=self.df)
         draws = np.atleast_1d(proposal.rvs(size=n, random_state=gen)).reshape(n, mu.size)
         return draws, proposal.logpdf(draws)

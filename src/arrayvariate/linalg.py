@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .array_core import dump_record, parse_records
+from .array_core import parse_records, write_records
 from .errors import FormatError, SingularMatrixError
 
 # Reject a factorization when min |pivot| < PIVOT_RTOL * max |pivot|.
@@ -101,7 +101,9 @@ def l_inverse(a) -> np.ndarray:
 
 def dump_matrix(a) -> str:
     a = as_matrix(a)
-    return dump_record("MATV1", a.shape, a.ravel(), a.shape[1])
+    out = []
+    write_records("MATV1", a.shape, a.reshape(1, -1), a.shape[1], out.append)
+    return "".join(out)
 
 
 def write_matrix(a, path) -> None:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .array_core import rvec
 from .densities import logpdf_elliptical_rvecs
@@ -161,6 +160,8 @@ def check_radial(kernel, m, n, stream) -> McReport:
     n = int(n)
     if n < 2:
         raise ValueError("need at least 2 samples")
+    from scipy import stats  # deferred: importing scipy.stats takes most of a cold start
+
     radii = sample_radii(kernel, m, n, stream)
     result = stats.ks_1samp(radii, radial_cdf(kernel, m))
     return McReport(

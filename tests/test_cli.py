@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from arrayvariate import cli
 from arrayvariate.array_core import parse_arrays, write_arrays
 from arrayvariate.linalg import write_matrix
+from support import well_conditioned
 
 
 @pytest.fixture
@@ -320,12 +322,57 @@ class TestRadial:
         assert run_cli("radial", "--kernel", "normal", "--n", 2, "--rmax", "inf", "--steps", 4) == 2
         assert run_cli("radial", "--kernel", "t", "--df", "inf", "--n", 2, "--rmax", 1, "--steps", 4) == 2
         assert run_cli("radial", "--kernel", "normal", "--n", 2, "--rmax", "1e308", "--steps", 2) == 2
+        assert run_cli("radial", "--kernel", "normal", "--n", 2, "--rmax", 1, "--steps", 10**400) == 2
         assert capsys.readouterr().out == ""
 
     def test_t_kernel_grid(self, capsys):
         assert run_cli("radial", "--kernel", "t", "--df", 4, "--n", 1, "--rmax", 3, "--steps", 3) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
+
+
+class TestGoldenBytes:
+    """CLI output bytes against SHA-256 digests recorded with the per-value
+    ARRV1/MATV1 writer and per-token reader (tests/support.py keeps both), on
+    inputs the test writes from a fixed seed."""
+
+    # case -> (kernel flags, shape, sample --n, {command: digest})
+    GOLDEN = {
+        "t5-2x3": (["--kernel", "t", "--df", "5"], (2, 3), 400, {
+            "sample": "8cfb7b30d187f389bbaad25062f19964b1a73f34d7674a45c12f6a603cfc9ad7",
+            "density": "9939d51b94a59a401da129916ca7ef92daada2219de3dabf790c787ee941a27b",
+            "lstsq": "38c690209db7055f1b8ad8283352388433bf63d0b66de2ad19d805b98432c13d",
+        }),
+        "normal-8x8x8": (["--kernel", "normal"], (8, 8, 8), 20, {
+            "sample": "16de5f0e50a0d177c35057c0f5103b17d6a4cce230d45077998d871300d89e3f",
+            "density": "4213080e5c5d7ce51e217fbc80beeec21129662f1b2e5c5b5f95bde0d70219ea",
+            "lstsq": "c61342364b250bcacad47326d53405662f6deaa93df57d700d664b7280cbddae",
+        }),
+    }
+
+    @staticmethod
+    def outputs(tmp_path, kernel, shape, n):
+        gen = np.random.default_rng(20240)
+        factors, maps = [], []
+        for j, d in enumerate(shape, start=1):
+            factors += ["--factor", tmp_path / f"a{j}.mat"]
+            write_matrix(well_conditioned(gen, d), factors[-1])
+            maps += ["--factor", tmp_path / f"map{j}.mat"]
+            write_matrix(well_conditioned(gen, d + 1, d), maps[-1])
+        mean, observed = tmp_path / "mean.arr", tmp_path / "observed.arr"
+        write_arrays([gen.standard_normal(shape)], mean)
+        write_arrays([gen.standard_normal(tuple(d + 1 for d in shape))], observed)
+        out = {name: tmp_path / f"{name}.out" for name in ("sample", "density", "lstsq")}
+        model = [*kernel, *factors, "--mean", mean]
+        assert run_cli("sample", *model, "--n", n, "--seed", 99, "--out", out["sample"]) == 0
+        assert run_cli("density", *model, "--input", out["sample"], "--out", out["density"]) == 0
+        assert run_cli("lstsq", *maps, "--input", observed, "--out", out["lstsq"]) == 0
+        return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_outputs_match_recorded_digests(self, tmp_path, case):
+        kernel, shape, n, digests = self.GOLDEN[case]
+        assert self.outputs(tmp_path, kernel, shape, n) == digests
 
 
 class TestEntryPoint:
@@ -341,6 +388,25 @@ class TestEntryPoint:
         (first, second) = parse_arrays(result.stdout)
         assert first.shape == (2,)
         assert second.shape == (2,)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is imported only by the t importance proposal and the radial KS check
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, arrayvariate.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_arithmetic_error_exits_3(self, monkeypatch, capsys):
+        def overflow(kernel, r, k):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "radial_pdf", overflow)
+        assert run_cli("radial", "--kernel", "normal", "--n", 2, "--rmax", 1, "--steps", 2) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical error: math range error" in captured.err
 
     def test_unknown_command_usage_error(self):
         result = subprocess.run(
