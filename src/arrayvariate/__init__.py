@@ -45,19 +45,12 @@ from .linalg import (
     write_matrix,
 )
 from .monolinear_stats import MonolinearNormal, conditional, marginal, to_monolinear
-from .multilinear import (
-    composition_check,
-    monolinear_equiv_check,
-    multilinear_lstsq,
-    r_multiply,
-    r_multiply_oracle,
-)
+from .multilinear import multilinear_lstsq, r_multiply
 from .sampling import (
     RandomStream,
     sample_elliptical,
     sample_elliptical_rvecs,
     sample_radii,
-    sample_std_normal_array,
 )
 from .verify import (
     McReport,

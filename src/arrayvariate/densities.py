@@ -4,10 +4,11 @@ A Kronecker model couples a location array ``M`` with one non-singular
 ``mj x mj`` factor per mode.  Densities are evaluated by standardizing
 (undoing the shift and the per-mode maps), feeding the squared norm of the
 standardized array to a spherical kernel pdf, and subtracting the log volume
-change of the multilinear transform.  A batch is centered straight into the
-batch-trailing layout of :func:`~arrayvariate.multilinear.apply_modes`, and
-a single array is evaluated as a batch of one.  Everything is computed and
-exposed in log space.
+change of the multilinear transform.  A batch runs through
+:func:`~arrayvariate.multilinear.map_tiles` one row tile at a time: each tile
+is centered straight into the engine's batch-trailing layout, and its squared
+norms are taken while the standardized tile is in cache.  A single array is
+evaluated as a batch of one.  Everything is computed and exposed in log space.
 """
 
 import math
@@ -18,7 +19,7 @@ from scipy.special import betainc, betaln, gammainc, gammaln, xlogy
 from . import linalg
 from .array_core import as_array, rvec
 from .errors import SingularMatrixError
-from .multilinear import apply_modes, r_multiply
+from .multilinear import map_tiles, r_multiply
 
 LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -239,9 +240,12 @@ class KroneckerModel:
             if f.shape != (mj, mj):
                 raise ValueError(f"mode {j}: factor must be {mj}x{mj}, got {f.shape[0]}x{f.shape[1]}")
             try:
-                inv_factors.append(linalg.inverse(f))
+                inv = linalg.inverse(f)
             except SingularMatrixError as exc:
                 raise SingularMatrixError(f"mode {j}: factor is singular") from exc
+            if not np.isfinite(inv).all():
+                raise SingularMatrixError(f"mode {j}: factor's inverse is not finite")
+            inv_factors.append(inv)
         self.mean = mean
         self.factors = tuple(factors)
         self.kernel = kernel
@@ -324,8 +328,9 @@ def logpdf_elliptical_rvecs(model, rows) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.m:
         raise ValueError(f"expected an (n, {model.m}) matrix of stacked arrays, got {rows.shape}")
-    # centering writes the batch-trailing (m, n) block, so the engine starts without a copy
-    centered = np.subtract(rows.T, rvec(model.mean)[:, None], order="C")
-    z = apply_modes(model.inv_factors, centered.T, model.shape)
-    q = np.einsum("ij,ij->i", z, z)
+    mean = rvec(model.mean)[:, None]
+    q = np.empty(len(rows))
+    # centering writes the tile's batch-trailing block, so the engine starts without a copy
+    for tile, z in map_tiles(model.inv_factors, model.shape, len(q), lambda t: np.subtract(rows[t].T, mean, order="C")):
+        np.einsum("ij,ij->j", z, z, out=q[tile])
     return np.asarray(log_kernel_pdf(model.kernel, q, model.m)) - model.log_jac

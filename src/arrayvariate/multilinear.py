@@ -2,11 +2,14 @@
 
 ``r_multiply`` applies one matrix per mode of a multiway array, generalizing
 ``A X B'`` from matrices to arrays of any order.  Single arrays and batches
-run through one engine, :func:`apply_modes`: with the batch on the trailing
-axis of a C-contiguous block, each mode is one ``np.matmul`` and no copy
-comes between modes.  That costs ``O(m * sum(qj))`` per array instead of the
-``O(m * prod(qj))`` of the defining nested sum; the nested sum survives as
-:func:`r_multiply_oracle` for verification.
+run through one engine, :func:`map_tiles`: it cuts the stacked rows into
+tiles of about ``TILE_BYTES``, has the caller move each tile into the
+batch-trailing layout (batch on the last axis of a C-contiguous block) while
+the tile is in cache, runs every mode on it as one ``np.matmul`` with no
+copy between modes, and hands the mapped tile back to the caller.  That
+costs ``O(m * sum(qj))`` per array instead of the ``O(m * prod(qj))`` of the
+defining nested sum, and no layout move or product touches more than one
+tile at a time.
 """
 
 import math
@@ -16,7 +19,11 @@ import numpy as np
 from . import linalg
 from .array_core import as_array, rvec, sq_norm
 from .errors import SingularMatrixError
-from .kronecker import inv_kron_chain
+
+# Input bytes per row tile, sized to stay in a core's L2 cache.  A tile holds
+# max(8, TILE_BYTES // (8 * m)) rows: below 8 rows a mode's GEMM can take
+# another BLAS path, which would make a draw's bytes depend on the tiling.
+TILE_BYTES = 1 << 18
 
 
 def _checked_maps(maps, shape, side=1):
@@ -31,13 +38,43 @@ def _checked_maps(maps, shape, side=1):
     return ms
 
 
+def _tiles(n, m):
+    # row slices covering range(n); a remainder shorter than 8 rows joins the last tile
+    rows = max(8, TILE_BYTES // (8 * max(m, 1)))
+    start = 0
+    while start < n:
+        stop = n if n - start < rows + 8 else start + rows
+        yield slice(start, stop)
+        start = stop
+
+
+def map_tiles(maps, shape, n, enter):
+    """Apply the mode maps ``(A1, ..., Ai)`` to n stacked arrays of ``shape``, one row tile at a time.
+
+    For each row tile ``t`` (a slice of ``range(n)``), ``enter(t)`` returns the
+    tile's arrays as the C-contiguous ``(m, len(t))`` block whose column k is
+    the ``rvec`` of array k.  Every mode runs on that block, and the generator
+    yields ``(t, block)`` with the C-contiguous ``(q, len(t))`` result, which
+    the caller finishes before the next tile is entered.
+    """
+    shape = tuple(int(d) for d in shape)
+    ms = _checked_maps(maps, shape)
+    for tile in _tiles(n, math.prod(shape)):
+        block = enter(tile)
+        width = tile.stop - tile.start
+        dims = list(shape)
+        for j, a in enumerate(ms):
+            # mode j is the middle axis; sizes spelled out, as -1 is ambiguous for empty blocks
+            block = np.matmul(a, block.reshape(math.prod(dims[j + 1:]), dims[j], width * math.prod(dims[:j])))
+            dims[j] = a.shape[0]
+        yield tile, block.reshape(math.prod(dims), width)
+
+
 def apply_modes(maps, rows, shape) -> np.ndarray:
     """Apply the mode maps ``(A1, ..., Ai)``, ``Aj`` of size ``qj x mj``, to each row.
 
     Row k of the ``(n, m)`` matrix ``rows`` is the ``rvec`` of an array of
-    ``shape``.  The ``(n, q)`` result is the transpose of a C-contiguous
-    ``(q, n)`` block, and ``rows`` given that way is used without a copy, so
-    callers fold the change of layout into work they do anyway.
+    ``shape``; row k of the ``(n, q)`` result is the ``rvec`` of its image.
     """
     shape = tuple(int(d) for d in shape)
     ms = _checked_maps(maps, shape)
@@ -45,14 +82,10 @@ def apply_modes(maps, rows, shape) -> np.ndarray:
     m = math.prod(shape)
     if rows.ndim != 2 or rows.shape[1] != m:
         raise ValueError(f"expected an (n, {m}) matrix of stacked arrays, got {rows.shape}")
-    n = rows.shape[0]
-    block = np.ascontiguousarray(rows.T)  # (mi, ..., m1, n) in C order
-    dims = list(shape)
-    for j, a in enumerate(ms):
-        # mode j is the middle axis; sizes spelled out, as -1 is ambiguous when n is 0
-        block = np.matmul(a, block.reshape(math.prod(dims[j + 1:]), dims[j], n * math.prod(dims[:j])))
-        dims[j] = a.shape[0]
-    return block.reshape(math.prod(dims), n).T
+    out = np.empty((rows.shape[0], math.prod(a.shape[0] for a in ms)))
+    for tile, block in map_tiles(ms, shape, len(rows), lambda t: np.ascontiguousarray(rows[t].T)):
+        out[tile] = block.T
+    return out
 
 
 def r_multiply(maps, x) -> np.ndarray:
@@ -65,52 +98,6 @@ def r_multiply(maps, x) -> np.ndarray:
     x = as_array(x)
     ms = _checked_maps(maps, x.shape)
     return apply_modes(ms, rvec(x)[None, :], x.shape).reshape(tuple(a.shape[0] for a in ms), order="F")
-
-
-def r_multiply_oracle(maps, x) -> np.ndarray:
-    """Reference evaluation of :func:`r_multiply` straight from the nested sum.
-
-    Exponential in the order; use only to verify the fast path on tiny inputs.
-    """
-    x = as_array(x)
-    ms = _checked_maps(maps, x.shape)
-    out_shape = tuple(a.shape[0] for a in ms)
-    out = np.zeros(out_shape)
-    for q in np.ndindex(out_shape):
-        acc = 0.0
-        for r in np.ndindex(x.shape):
-            coeff = 1.0
-            for a, qj, rj in zip(ms, q, r):
-                coeff *= a[qj, rj]
-            acc += coeff * x[r]
-        out[q] = acc
-    return out
-
-
-def monolinear_equiv_check(maps, x) -> float:
-    """Max-abs gap between the mode-wise product and its monolinear form.
-
-    Compares ``rvec(r_multiply(maps, x))`` against the expanded chain matrix
-    applied to ``rvec(x)``; on well-scaled inputs the gap stays below 1e-10.
-    """
-    x = as_array(x)
-    ms = _checked_maps(maps, x.shape)
-    lhs = rvec(r_multiply(ms, x))
-    rhs = inv_kron_chain(ms) @ rvec(x)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def composition_check(maps_a, maps_b, x) -> float:
-    """Max-abs gap between sequential application and product-map application.
-
-    Applies ``maps_b`` then ``maps_a`` and compares with applying the per-mode
-    products ``Aj @ Bj`` once.
-    """
-    x = as_array(x)
-    lhs = r_multiply(maps_a, r_multiply(maps_b, x))
-    prod_maps = [linalg.as_matrix(a) @ linalg.as_matrix(b) for a, b in zip(maps_a, maps_b)]
-    rhs = r_multiply(prod_maps, x)
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def multilinear_lstsq(maps, y) -> np.ndarray:

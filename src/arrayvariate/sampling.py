@@ -1,10 +1,12 @@
 """Exact samplers built on the spherical representation ``x = r * u``.
 
 A spherical draw splits into an independent radius ``r`` (kernel-specific
-law) and a direction ``u`` uniform on the unit sphere; the elliptical array
-sampler pushes ``r * u`` through the model's per-mode factors and adds the
-location, with the batch on the trailing axis of
-:func:`~arrayvariate.multilinear.apply_modes` in between.  The kernel supplies
+law) and a direction ``u`` uniform on the unit sphere.  The elliptical array
+sampler draws every Gaussian vector and then every radius divisor, and runs
+the rest through :func:`~arrayvariate.multilinear.map_tiles` one row tile at
+a time: a tile's ``r * u`` is formed straight in the engine's batch-trailing
+layout, pushed through the model's per-mode factors, shifted by the location
+and written back over the tile's own Gaussian vectors.  The kernel supplies
 the radius law: for the normal kernel the radius is a chi draw; for the t
 kernel it is a Gaussian norm over a scaled chi, which is exact (no quadrature
 or inversion anywhere).
@@ -12,8 +14,8 @@ or inversion anywhere).
 
 import numpy as np
 
-from .array_core import rvec, shape_size, unrvec
-from .multilinear import apply_modes
+from .array_core import rvec, unrvec
+from .multilinear import map_tiles
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,12 +54,6 @@ class RandomStream:
         return f"RandomStream(seed={self.seed})"
 
 
-def sample_std_normal_array(shape, stream) -> np.ndarray:
-    """Array of the given shape with i.i.d. standard normal cells."""
-    m = shape_size(shape)
-    return unrvec(stream.generator.standard_normal(m), shape)
-
-
 def sample_radii(kernel, m, n, stream) -> np.ndarray:
     """n radius draws of the kernel's spherical law in dimension m.
 
@@ -82,14 +78,20 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
         raise ValueError(f"draw count must be >= 0, got {n}")
     gen = stream.generator
     z = gen.standard_normal((n, model.m))
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0.0] = 1.0  # measure-zero guard
-    radii = norms / model.kernel.radius_divisor(n, gen)
-    # u = z / ||z||, then r * u, written as the batch-trailing (m, n) block
-    spherical = np.divide(z.T, norms, order="C")
-    spherical *= radii
-    rows = apply_modes(model.factors, spherical.T, model.shape)
-    return np.add(rows, rvec(model.mean), order="C")
+    divisors = np.broadcast_to(model.kernel.radius_divisor(n, gen), n)
+    mean = rvec(model.mean)
+
+    def enter(tile):
+        norms = np.linalg.norm(z[tile], axis=1)
+        norms[norms == 0.0] = 1.0  # measure-zero guard
+        # u = z / ||z||, then r * u, written as the tile's batch-trailing block
+        spherical = np.divide(z[tile].T, norms, order="C")
+        spherical *= norms / divisors[tile]
+        return spherical
+
+    for tile, block in map_tiles(model.factors, model.shape, n, enter):
+        np.add(block.T, mean, out=z[tile])  # the tile's draws replace its Gaussian vectors
+    return z
 
 
 def sample_elliptical(model, n, stream) -> list:

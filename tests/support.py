@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 
@@ -33,6 +35,117 @@ def random_model(gen, dims, kernel):
     factors = [well_conditioned(gen, d) for d in dims]
     mean = unrvec(gen.standard_normal(int(np.prod(dims))), dims)
     return KroneckerModel(mean, factors, kernel)
+
+
+def sample_std_normal_array(shape, stream) -> np.ndarray:
+    """Array of the given shape with i.i.d. standard normal cells."""
+    from arrayvariate.array_core import shape_size, unrvec
+
+    return unrvec(stream.generator.standard_normal(shape_size(shape)), shape)
+
+
+# ---------------------------------------------------------------------------
+# Reference per-mode engine: the nested sum that defines r_multiply, the
+# monolinear and composition checks built on r_multiply, and the untiled
+# engine (one whole-batch layout move, one matmul per mode over the whole
+# batch) with the density and sampler that ran on it before the tiled engine
+# in arrayvariate.multilinear replaced it, kept as oracles for the
+# differential tests.
+# ---------------------------------------------------------------------------
+
+def r_multiply_oracle(maps, x) -> np.ndarray:
+    """Reference evaluation of ``r_multiply`` straight from the nested sum.
+
+    Exponential in the order; use only to verify the fast path on tiny inputs.
+    """
+    from arrayvariate.array_core import as_array
+    from arrayvariate.linalg import as_matrix
+
+    x = as_array(x)
+    ms = [as_matrix(a) for a in maps]
+    out_shape = tuple(a.shape[0] for a in ms)
+    out = np.zeros(out_shape)
+    for q in np.ndindex(out_shape):
+        acc = 0.0
+        for r in np.ndindex(x.shape):
+            coeff = 1.0
+            for a, qj, rj in zip(ms, q, r):
+                coeff *= a[qj, rj]
+            acc += coeff * x[r]
+        out[q] = acc
+    return out
+
+
+def monolinear_equiv_check(maps, x) -> float:
+    """Max-abs gap between the mode-wise product and its monolinear form.
+
+    Compares ``rvec(r_multiply(maps, x))`` against the expanded chain matrix
+    applied to ``rvec(x)``; on well-scaled inputs the gap stays below 1e-10.
+    """
+    from arrayvariate.array_core import as_array, rvec
+    from arrayvariate.kronecker import inv_kron_chain
+    from arrayvariate.multilinear import r_multiply
+
+    x = as_array(x)
+    lhs = rvec(r_multiply(maps, x))
+    rhs = inv_kron_chain(maps) @ rvec(x)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def composition_check(maps_a, maps_b, x) -> float:
+    """Max-abs gap between sequential application and product-map application.
+
+    Applies ``maps_b`` then ``maps_a`` and compares with applying the per-mode
+    products ``Aj @ Bj`` once.
+    """
+    from arrayvariate.array_core import as_array
+    from arrayvariate.linalg import as_matrix
+    from arrayvariate.multilinear import r_multiply
+
+    x = as_array(x)
+    lhs = r_multiply(maps_a, r_multiply(maps_b, x))
+    prod_maps = [as_matrix(a) @ as_matrix(b) for a, b in zip(maps_a, maps_b)]
+    rhs = r_multiply(prod_maps, x)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def apply_modes_untiled(maps, rows, shape) -> np.ndarray:
+    from arrayvariate.linalg import as_matrix
+
+    ms = [as_matrix(a) for a in maps]
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[0]
+    block = np.ascontiguousarray(rows.T)  # (mi, ..., m1, n) in C order
+    dims = list(shape)
+    for j, a in enumerate(ms):
+        block = np.matmul(a, block.reshape(math.prod(dims[j + 1:]), dims[j], n * math.prod(dims[:j])))
+        dims[j] = a.shape[0]
+    return block.reshape(math.prod(dims), n).T
+
+
+def logpdf_elliptical_rvecs_untiled(model, rows) -> np.ndarray:
+    from arrayvariate.array_core import rvec
+    from arrayvariate.densities import log_kernel_pdf
+
+    rows = np.asarray(rows, dtype=float)
+    centered = np.subtract(rows.T, rvec(model.mean)[:, None], order="C")
+    z = apply_modes_untiled(model.inv_factors, centered.T, model.shape)
+    q = np.einsum("ij,ij->i", z, z)
+    return np.asarray(log_kernel_pdf(model.kernel, q, model.m)) - model.log_jac
+
+
+def sample_elliptical_rvecs_untiled(model, n, stream) -> np.ndarray:
+    from arrayvariate.array_core import rvec
+
+    gen = stream.generator
+    z = gen.standard_normal((n, model.m))
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0.0] = 1.0
+    radii = norms / model.kernel.radius_divisor(n, gen)
+    spherical = np.divide(z.T, norms, order="C")
+    spherical *= radii
+    rows = apply_modes_untiled(model.factors, spherical.T, model.shape)
+    return np.add(rows, rvec(model.mean), order="C")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from arrayvariate import sampling as sp
 from arrayvariate import verify as vf
 from arrayvariate.array_core import rvec, sq_norm, write_arrays
 from arrayvariate.linalg import write_matrix
-from support import random_shape, well_conditioned, with_kernel
+from support import monolinear_equiv_check, random_shape, well_conditioned, with_kernel
 
 
 def report(num, label, ok, detail=""):
@@ -37,7 +37,7 @@ def test_c1_monolinear_equivalence():
         dims = random_shape(gen, max_order=5, max_dim=4, max_cells=512)
         maps = [gen.standard_normal((int(gen.integers(1, 5)), m)) for m in dims]
         x = gen.standard_normal(dims)
-        worst = max(worst, ml.monolinear_equiv_check(maps, x))
+        worst = max(worst, monolinear_equiv_check(maps, x))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed <= 30.0
     assert report(1, "monolinear equivalence, 1000 instances up to order 5 / m 512",

@@ -94,6 +94,19 @@ class TestSample:
         assert code == 3
         assert "singular" in capsys.readouterr().err
 
+    def test_subnormal_factor_exits_3(self, tmp_path):
+        tiny, draws = tmp_path / "tiny.mat", tmp_path / "x.arr"
+        write_matrix(1e-310 * np.eye(2), tiny)
+        write_arrays([np.zeros(2)], draws)
+        result = subprocess.run(
+            [sys.executable, "-m", "arrayvariate.cli", "density", "--factor", str(tiny), "--input", str(draws)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("numerical error: mode 1:")
+        assert "Traceback" not in result.stderr
+
     def test_malformed_factor_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "broken.mat"
         bad.write_text("MATV1\ndims 2 2\n1 2\n3 oops\n")

@@ -312,3 +312,8 @@ class TestModelValidation:
         with pytest.raises(SingularMatrixError, match="mode 1"):
             dn.KroneckerModel(np.zeros((2, 2)), [np.zeros((2, 2)), np.eye(2)], dn.Kernel.normal())
 
+    def test_subnormal_factor_names_mode(self):
+        # the pivot test is relative, so 1e-310 * I factors; its inverse is not finite
+        with pytest.raises(SingularMatrixError, match="mode 2: .*not finite"):
+            dn.KroneckerModel(np.zeros((2, 2)), [np.eye(2), 1e-310 * np.eye(2)], dn.Kernel.normal())
+

@@ -7,7 +7,13 @@ from arrayvariate import array_core as ac
 from arrayvariate import multilinear as ml
 from arrayvariate.errors import SingularMatrixError
 from arrayvariate.kronecker import inv_kron_chain
-from support import random_shape, well_conditioned
+from support import (
+    composition_check,
+    monolinear_equiv_check,
+    r_multiply_oracle,
+    random_shape,
+    well_conditioned,
+)
 
 
 class TestRMultiply:
@@ -64,7 +70,7 @@ class TestApplyModes:
     def test_matches_nested_sum_oracle(self, case):
         maps, rows, dims = case
         out = ml.apply_modes(maps, rows, dims)
-        expected = [ac.rvec(ml.r_multiply_oracle(maps, ac.unrvec(row, dims))) for row in rows]
+        expected = [ac.rvec(r_multiply_oracle(maps, ac.unrvec(row, dims))) for row in rows]
         q = int(np.prod([a.shape[0] for a in maps]))
         assert_close_to_largest_cell(out, np.array(expected).reshape(len(rows), q))
 
@@ -90,29 +96,29 @@ class TestOracle:
             maps = [gen.standard_normal((q, m)) for q, m in zip(qs, dims)]
             x = gen.standard_normal(dims)
             np.testing.assert_allclose(
-                ml.r_multiply(maps, x), ml.r_multiply_oracle(maps, x), atol=1e-11
+                ml.r_multiply(maps, x), r_multiply_oracle(maps, x), atol=1e-11
             )
 
     def test_identity(self):
         x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_allclose(ml.r_multiply_oracle([np.eye(2), np.eye(3)], x), x)
+        np.testing.assert_allclose(r_multiply_oracle([np.eye(2), np.eye(3)], x), x)
 
     def test_zero(self):
         maps = [np.ones((2, 2)), np.ones((4, 3))]
-        assert not ml.r_multiply_oracle(maps, np.zeros((2, 3))).any()
+        assert not r_multiply_oracle(maps, np.zeros((2, 3))).any()
 
 
 class TestMonolinearEquiv:
     def test_identity_maps_zero_gap(self):
         x = np.arange(12.0).reshape(2, 3, 2)
         maps = [np.eye(2), np.eye(3), np.eye(2)]
-        assert ml.monolinear_equiv_check(maps, x) == 0.0
+        assert monolinear_equiv_check(maps, x) == 0.0
 
     def test_random_2x3x2(self):
         gen = np.random.default_rng(43)
         maps = [gen.standard_normal((q, m)) for q, m in zip((3, 2, 2), (2, 3, 2))]
         x = gen.standard_normal((2, 3, 2))
-        assert ml.monolinear_equiv_check(maps, x) <= 1e-10
+        assert monolinear_equiv_check(maps, x) <= 1e-10
 
     def test_two_mode_classical_identity(self):
         gen = np.random.default_rng(44)
@@ -122,7 +128,7 @@ class TestMonolinearEquiv:
         lhs = (a1 @ x @ a2.T).reshape(-1, order="F")
         rhs = np.kron(a2, a1) @ x.reshape(-1, order="F")
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
-        assert ml.monolinear_equiv_check([a1, a2], x) <= 1e-12
+        assert monolinear_equiv_check([a1, a2], x) <= 1e-12
 
     def test_randomized_up_to_order_5(self):
         gen = np.random.default_rng(45)
@@ -130,27 +136,27 @@ class TestMonolinearEquiv:
             dims = random_shape(gen, max_order=5, max_dim=4, max_cells=512)
             maps = [gen.standard_normal((int(gen.integers(1, 5)), m)) for m in dims]
             x = gen.standard_normal(dims)
-            assert ml.monolinear_equiv_check(maps, x) <= 1e-10
+            assert monolinear_equiv_check(maps, x) <= 1e-10
 
 
 class TestComposition:
     def test_identity_chains(self):
         x = np.arange(8.0).reshape(2, 2, 2)
         eye = [np.eye(2)] * 3
-        assert ml.composition_check(eye, eye, x) == 0.0
+        assert composition_check(eye, eye, x) == 0.0
 
     def test_random_2x2x2(self):
         gen = np.random.default_rng(46)
         maps_a = [gen.standard_normal((2, 2)) for _ in range(3)]
         maps_b = [gen.standard_normal((2, 2)) for _ in range(3)]
         x = gen.standard_normal((2, 2, 2))
-        assert ml.composition_check(maps_a, maps_b, x) <= 1e-10
+        assert composition_check(maps_a, maps_b, x) <= 1e-10
 
     def test_scalar_modes_exact(self):
         maps_a = [np.array([[2.0]]), np.array([[3.0]])]
         maps_b = [np.array([[5.0]]), np.array([[7.0]])]
         x = np.full((1, 1), 1.25)
-        assert ml.composition_check(maps_a, maps_b, x) == 0.0
+        assert composition_check(maps_a, maps_b, x) == 0.0
 
     def test_mode_order_independence(self):
         # square maps applied one mode at a time (identity elsewhere), in any order, agree

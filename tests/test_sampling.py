@@ -8,7 +8,7 @@ from arrayvariate import densities as dn
 from arrayvariate import sampling as sp
 from arrayvariate.array_core import rvec, sq_norm
 from arrayvariate.kronecker import inv_kron_chain
-from support import random_model
+from support import random_model, sample_std_normal_array
 
 
 class TestRandomStream:
@@ -35,19 +35,19 @@ class TestStdNormalArray:
         stream = sp.RandomStream(100)
         total = np.zeros((2, 2))
         for _ in range(n):
-            total += sp.sample_std_normal_array((2, 2), stream)
+            total += sample_std_normal_array((2, 2), stream)
         bound = 3.0 / math.sqrt(n)
         assert np.max(np.abs(total / n)) <= bound
 
     def test_sq_norm_is_chi_square(self):
         stream = sp.RandomStream(101)
         m = 6
-        values = np.array([sq_norm(sp.sample_std_normal_array((2, 3), stream)) for _ in range(20_000)])
+        values = np.array([sq_norm(sample_std_normal_array((2, 3), stream)) for _ in range(20_000)])
         assert stats.kstest(values, stats.chi2(m).cdf).pvalue >= 0.01
 
     def test_reproducible_first_draw(self):
-        first = sp.sample_std_normal_array((2, 2), sp.RandomStream(7))
-        again = sp.sample_std_normal_array((2, 2), sp.RandomStream(7))
+        first = sample_std_normal_array((2, 2), sp.RandomStream(7))
+        again = sample_std_normal_array((2, 2), sp.RandomStream(7))
         np.testing.assert_array_equal(first, again)
 
 

@@ -1,0 +1,125 @@
+"""The row-tiled engine against the untiled one it replaced.
+
+``tests/support.py`` keeps the untiled engine, density and sampler.  The
+tiled ones must agree with them at every tile boundary, byte for byte at the
+benchmark's shapes, and must not hold a second batch-sized array.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arrayvariate import densities as dn
+from arrayvariate import multilinear as ml
+from arrayvariate import sampling as sp
+from support import (
+    apply_modes_untiled,
+    logpdf_elliptical_rvecs_untiled,
+    random_model,
+    sample_elliptical_rvecs_untiled,
+)
+
+KERNELS = {"normal": dn.Kernel.normal(), "t5": dn.Kernel.student_t(5.0)}
+
+
+def tile_rows(m):
+    return max(8, ml.TILE_BYTES // (8 * m))
+
+
+@st.composite
+def tiled_cases(draw):
+    """A model of order 1-4 (dimensions 1-8, so the 8-row floor is reached),
+    a kernel, and a batch size at a tile boundary."""
+    order = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(1, 8), min_size=order, max_size=order)))
+    tile = tile_rows(int(np.prod(dims)))
+    n = draw(st.sampled_from([0, 1, tile - 1, tile, tile + 1, 3 * tile + 5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    model = random_model(np.random.default_rng(seed), dims, KERNELS[draw(st.sampled_from(sorted(KERNELS)))])
+    return model, n, seed
+
+
+def assert_close_to_largest_cell(out, expected):
+    assert out.shape == expected.shape
+    if expected.size:
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+class TestAgainstUntiled:
+    @settings(max_examples=60)
+    @given(tiled_cases())
+    def test_apply_modes(self, case):
+        model, n, seed = case
+        rows = np.random.default_rng(seed).standard_normal((n, model.m))
+        out = ml.apply_modes(model.factors, rows, model.shape)
+        assert_close_to_largest_cell(out, apply_modes_untiled(model.factors, rows, model.shape))
+
+    @settings(max_examples=60)
+    @given(tiled_cases())
+    def test_sampler_same_seed(self, case):
+        model, n, seed = case
+        got = sp.sample_elliptical_rvecs(model, n, sp.RandomStream(seed))
+        assert_close_to_largest_cell(got, sample_elliptical_rvecs_untiled(model, n, sp.RandomStream(seed)))
+
+    @settings(max_examples=60)
+    @given(tiled_cases())
+    def test_density(self, case):
+        model, n, seed = case
+        rows = sample_elliptical_rvecs_untiled(model, n, sp.RandomStream(seed))
+        got = dn.logpdf_elliptical_rvecs(model, rows)
+        np.testing.assert_allclose(got, logpdf_elliptical_rvecs_untiled(model, rows), rtol=1e-13, atol=0)
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 5000), st.integers(0, 2000))
+    def test_tiles_cover_the_batch(self, m, n):
+        seen = []
+        for tile, block in ml.map_tiles([np.ones((1, m))], (m,), n, lambda t: np.zeros((m, t.stop - t.start))):
+            assert block.shape == (1, tile.stop - tile.start)
+            seen.append(tile)
+        bounds = [0] + [t.stop for t in seen]
+        assert [t.start for t in seen] == bounds[:-1] and bounds[-1] == n
+        # no tile has fewer than 8 rows unless the batch does, and none runs past a tile and 7 rows
+        assert all(min(8, n) <= t.stop - t.start <= tile_rows(m) + 7 for t in seen)
+
+
+class TestBenchmarkShapesBytes:
+    @pytest.mark.parametrize("dims, n, kernel", [
+        ((2, 3), 20_000, "t5"),
+        ((8, 8, 8), 10_000, "normal"),
+        ((32, 32, 16), 200, "normal"),
+    ])
+    def test_byte_identical_to_untiled(self, dims, n, kernel):
+        model = random_model(np.random.default_rng(60), dims, KERNELS[kernel])
+        rows = sp.sample_elliptical_rvecs(model, n, sp.RandomStream(61))
+        expected = sample_elliptical_rvecs_untiled(model, n, sp.RandomStream(61))
+        assert rows.tobytes() == np.ascontiguousarray(expected).tobytes()
+        density = dn.logpdf_elliptical_rvecs(model, rows)
+        assert density.tobytes() == logpdf_elliptical_rvecs_untiled(model, rows).tobytes()
+        mapped = ml.apply_modes(model.inv_factors, rows, dims)
+        expected = apply_modes_untiled(model.inv_factors, rows, dims)
+        assert mapped.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_density_peak_is_a_few_tiles(self):
+        model = random_model(np.random.default_rng(62), (8, 8, 8), dn.Kernel.normal())
+        rows = sp.sample_elliptical_rvecs(model, 10_000, sp.RandomStream(63))
+        peak, _ = traced_peak(lambda: dn.logpdf_elliptical_rvecs(model, rows))
+        assert peak < 8e6  # rows are 41 MB
+
+    def test_sampler_holds_one_batch(self):
+        model = random_model(np.random.default_rng(64), (8, 8, 8), dn.Kernel.normal())
+        peak, rows = traced_peak(lambda: sp.sample_elliptical_rvecs(model, 10_000, sp.RandomStream(65)))
+        assert peak < 1.25 * rows.nbytes
