@@ -140,10 +140,10 @@ def cmd_radial(args) -> int:
     if args.n < 1:
         raise UsageError("--n (the dimension of the radial law) must be >= 1")
     kernel = _build_kernel(args)
-    grid = [args.rmax * j / args.steps for j in range(args.steps + 1)]
-    table = [v for r in grid for v in (r, radial_pdf(kernel, r, args.n))]
+    grid = args.rmax * np.arange(args.steps + 1) / args.steps
+    table = np.column_stack((grid, radial_pdf(kernel, grid, args.n)))
     with _output(args.out) as write:
-        write(f"{FLOAT_FORMAT} {FLOAT_FORMAT}\n" * len(grid) % tuple(table))
+        write(f"{FLOAT_FORMAT} {FLOAT_FORMAT}\n" * len(grid) % tuple(table.ravel().tolist()))
     return 0
 
 

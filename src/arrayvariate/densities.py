@@ -9,12 +9,14 @@ change of the multilinear transform.  A batch runs through
 is centered straight into the engine's batch-trailing layout, and its squared
 norms are taken while the standardized tile is in cache.  A single array is
 evaluated as a batch of one.  Everything is computed and exposed in log space.
+The normal kernel's density needs no special function; ``scipy.special`` is
+imported inside the kernel methods that do (t profiles, radial densities and
+CDFs), on first use.
 """
 
 import math
 
 import numpy as np
-from scipy.special import betainc, betaln, gammainc, gammaln, xlogy
 
 from . import linalg
 from .array_core import as_array, rvec
@@ -87,6 +89,8 @@ class Kernel:
 
         ``xlogy`` keeps ``k = 1, r = 0`` finite.
         """
+        from scipy.special import gammaln, xlogy
+
         log_surface = math.log(2.0) + 0.5 * k * math.log(math.pi) - gammaln(0.5 * k)
         return log_surface + xlogy(k - 1, r) + self.log_profile(r * r, k)
 
@@ -113,6 +117,8 @@ class NormalKernel(Kernel):
         return -0.5 * k * LOG_2PI - 0.5 * t
 
     def radial_cdf(self, r, k):
+        from scipy.special import gammainc
+
         return gammainc(0.5 * k, 0.5 * r * r)
 
     def radius_divisor(self, n, gen):
@@ -149,6 +155,8 @@ class StudentKernel(Kernel):
     def log_profile(self, t, k):
         # Gamma((v+k)/2) / Gamma(v/2) as Gamma(k/2) / B(v/2, k/2): the gammaln
         # difference cancels catastrophically at large df, and v * pi overflows
+        from scipy.special import betaln, gammaln
+
         v = self.df
         return (
             gammaln(0.5 * k)
@@ -158,6 +166,8 @@ class StudentKernel(Kernel):
         )
 
     def radial_cdf(self, r, k):
+        from scipy.special import betainc
+
         t = r * r
         return betainc(0.5 * k, 0.5 * self.df, t / (t + self.df))
 

@@ -1,15 +1,17 @@
-"""Small dense matrix kernel: LU/Cholesky factorizations, log-determinants,
-inverses and the left inverse ``(A'A)^{-1}A'`` used by least squares.
+"""Small dense matrix kernel: pivot-checked inverses, solves and log-determinants,
+and the left inverse ``(A'A)^{-1}A'`` used by least squares.
 
-Everything here targets the tiny per-mode factors of a Kronecker model, so
-plain LU with partial pivoting plus a scale-invariant pivot-ratio test covers
-all needs.  Matrices are 2-D float64 ndarrays.
+Everything here targets the tiny per-mode factors of a Kronecker model.  A
+square matrix is accepted when its LU factorization with partial pivoting
+passes a scale-invariant pivot-ratio test; the pivots come from a short numpy
+elimination (one row swap and one rank-1 update per column), and the inverse,
+solve and log-determinant then come from ``numpy.linalg``.  The left inverse
+applies the same ratio test to the pivots of the Cholesky factor of ``A'A``.
+Only numpy is used, so importing this module loads no scipy.  Matrices are
+2-D float64 ndarrays.
 """
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 from .array_core import parse_records, write_records
 from .errors import FormatError, SingularMatrixError
@@ -32,29 +34,51 @@ def _square(a) -> np.ndarray:
     return a
 
 
+def _singular():
+    return SingularMatrixError(
+        f"matrix is singular to working precision (pivot ratio below {PIVOT_RTOL:g})"
+    )
+
+
 def _checked_lu(a):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # exact-zero pivot warning; the pivot test below rejects it
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    d = np.abs(np.diag(lu))
-    if d.max() == 0.0 or d.min() < PIVOT_RTOL * d.max():
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (pivot ratio below {PIVOT_RTOL:g})"
-        )
-    return lu, piv
+    """Raise :class:`SingularMatrixError` unless the pivots of A's LU factorization pass the ratio test.
+
+    Partial pivoting picks the first entry of largest magnitude in each
+    column, as LAPACK's ``getrf`` does.  A zero or non-finite pivot fails at
+    once: it fails the ratio test whatever the other pivots are.
+    """
+    lu = np.array(a, dtype=float)
+    pivots = []
+    with np.errstate(all="ignore"):  # an overflow or nan reaches a pivot and is rejected there
+        for k in range(lu.shape[0]):
+            col = np.abs(lu[k:, k])
+            p = int(col.argmax())
+            pivot = float(col[p])
+            if not 0.0 < pivot < np.inf:
+                raise _singular()
+            pivots.append(pivot)
+            if p:
+                lu[[k, k + p]] = lu[[k + p, k]]
+            lu[k + 1:, k + 1:] -= np.multiply.outer(lu[k + 1:, k] / lu[k, k], lu[k, k + 1:])
+    if min(pivots) < PIVOT_RTOL * max(pivots):
+        raise _singular()
 
 
 def logabsdet(a) -> float:
     """log |det A|; raises :class:`SingularMatrixError` when A fails the pivot test."""
-    lu, _ = _checked_lu(_square(a))
-    return float(np.sum(np.log(np.abs(np.diag(lu)))))
+    a = _square(a)
+    _checked_lu(a)
+    return float(np.linalg.slogdet(a)[1])
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse via the pivot-checked LU factorization."""
+    """Matrix inverse of a matrix that passes the pivot test."""
     a = _square(a)
-    lu, piv = _checked_lu(a)
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]), check_finite=False)
+    _checked_lu(a)
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise _singular() from exc
 
 
 def solve(a, b) -> np.ndarray:
@@ -63,31 +87,39 @@ def solve(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"right-hand side of length {b.shape[0]} does not match {a.shape[0]}x{a.shape[1]} matrix")
-    lu, piv = _checked_lu(a)
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    _checked_lu(a)
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise _singular() from exc
 
 
 def l_inverse(a) -> np.ndarray:
     """Left inverse ``(A'A)^{-1} A'`` of a full-column-rank matrix.
 
-    Computed through the Cholesky factor of A'A (the matrices here are tiny);
+    Checked through the Cholesky factor of A'A (the matrices here are tiny);
     satisfies ``l_inverse(A) @ A == I`` and reduces to the ordinary inverse
     for square A.
     """
     a = as_matrix(a)
     if a.shape[0] < a.shape[1]:
         raise SingularMatrixError(f"a {a.shape[0]}x{a.shape[1]} matrix cannot have full column rank")
-    gram = a.T @ a
+    # A = B * 2^e with max |B| in [0.5, 1): the power-of-two scale is exact, and
+    # B'B neither overflows nor underflows where A'A would
+    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    b = np.ldexp(a, -e)
+    gram = b.T @ b
     try:
-        c, low = scipy.linalg.cho_factor(gram, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        c = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("matrix is rank deficient") from exc
-    d = np.diag(c) ** 2  # pivots of A'A
+    d = np.diag(c) ** 2  # pivots of B'B, the pivots of A'A scaled by 4^-e
     if d.min() < PIVOT_RTOL * d.max():
         raise SingularMatrixError(
             f"matrix is rank deficient to working precision (pivot ratio below {PIVOT_RTOL:g})"
         )
-    return scipy.linalg.cho_solve((c, low), a.T, check_finite=False)
+    with np.errstate(over="raise"):  # a left inverse beyond the float range is an ArithmeticError
+        return np.ldexp(np.linalg.solve(gram, b.T), -e)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ checked.
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .array_core import rvec
 from .errors import SingularMatrixError
@@ -39,8 +38,8 @@ class MonolinearNormal:
         if gap > SYMMETRY_ATOL * max(1.0, float(np.max(np.abs(cov)))):
             raise ValueError(f"covariance is not symmetric (max asymmetry {gap:.3g})")
         try:
-            chol = scipy.linalg.cholesky(cov, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("covariance is not positive definite") from exc
         self.mean = mean
         self.cov = cov
@@ -55,7 +54,7 @@ class MonolinearNormal:
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise ValueError(f"point of length {x.size} for a {self.dim}-variate law")
-        w = scipy.linalg.solve_triangular(self._chol, x - self.mean, lower=True, check_finite=False)
+        w = np.linalg.solve(self._chol, x - self.mean)
         log_det_half = float(np.sum(np.log(np.diag(self._chol))))
         return -0.5 * float(w @ w) - 0.5 * self.dim * LOG_2PI - log_det_half
 

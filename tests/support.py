@@ -37,11 +37,82 @@ def random_model(gen, dims, kernel):
     return KroneckerModel(mean, factors, kernel)
 
 
-def sample_std_normal_array(shape, stream) -> np.ndarray:
-    """Array of the given shape with i.i.d. standard normal cells."""
-    from arrayvariate.array_core import shape_size, unrvec
+# ---------------------------------------------------------------------------
+# Reference dense linear algebra: the scipy.linalg LU and Cholesky routines
+# that arrayvariate.linalg ran on before its numpy-only kernel replaced them,
+# kept with the same pivot tests and messages as oracles for the differential
+# tests.
+# ---------------------------------------------------------------------------
 
-    return unrvec(stream.generator.standard_normal(shape_size(shape)), shape)
+def _checked_lu_scipy(a):
+    import warnings
+
+    import scipy.linalg
+    from arrayvariate.errors import SingularMatrixError
+    from arrayvariate.linalg import PIVOT_RTOL
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # exact-zero pivot warning; the pivot test below rejects it
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    d = np.abs(np.diag(lu))
+    if d.max() == 0.0 or d.min() < PIVOT_RTOL * d.max():
+        raise SingularMatrixError(
+            f"matrix is singular to working precision (pivot ratio below {PIVOT_RTOL:g})"
+        )
+    return lu, piv
+
+
+def logabsdet_scipy(a) -> float:
+    from arrayvariate.linalg import _square
+
+    lu, _ = _checked_lu_scipy(_square(a))
+    return float(np.sum(np.log(np.abs(np.diag(lu)))))
+
+
+def inverse_scipy(a) -> np.ndarray:
+    import scipy.linalg
+    from arrayvariate.linalg import _square
+
+    a = _square(a)
+    lu, piv = _checked_lu_scipy(a)
+    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]), check_finite=False)
+
+
+def solve_scipy(a, b) -> np.ndarray:
+    import scipy.linalg
+    from arrayvariate.linalg import _square
+
+    a = _square(a)
+    b = np.asarray(b, dtype=float)
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"right-hand side of length {b.shape[0]} does not match {a.shape[0]}x{a.shape[1]} matrix")
+    lu, piv = _checked_lu_scipy(a)
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+
+
+def l_inverse_scipy(a) -> np.ndarray:
+    import scipy.linalg
+    from arrayvariate.errors import SingularMatrixError
+    from arrayvariate.linalg import PIVOT_RTOL, as_matrix
+
+    a = as_matrix(a)
+    if a.shape[0] < a.shape[1]:
+        raise SingularMatrixError(f"a {a.shape[0]}x{a.shape[1]} matrix cannot have full column rank")
+    gram = a.T @ a
+    try:
+        c, low = scipy.linalg.cho_factor(gram, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularMatrixError("matrix is rank deficient") from exc
+    d = np.diag(c) ** 2  # pivots of A'A
+    if d.min() < PIVOT_RTOL * d.max():
+        raise SingularMatrixError(
+            f"matrix is rank deficient to working precision (pivot ratio below {PIVOT_RTOL:g})"
+        )
+    return scipy.linalg.cho_solve((c, low), a.T, check_finite=False)
+
+
+SCIPY_LINALG = {"inverse": inverse_scipy, "solve": solve_scipy, "logabsdet": logabsdet_scipy,
+                "l_inverse": l_inverse_scipy}
 
 
 # ---------------------------------------------------------------------------

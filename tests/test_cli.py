@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import subprocess
 import sys
@@ -6,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from arrayvariate import cli
+from arrayvariate import cli, linalg
 from arrayvariate.array_core import parse_arrays, write_arrays
+from arrayvariate.densities import Kernel, radial_pdf
 from arrayvariate.linalg import write_matrix
-from support import well_conditioned
+from support import SCIPY_LINALG, well_conditioned
 
 
 @pytest.fixture
@@ -106,6 +108,29 @@ class TestSample:
         assert result.stdout == ""
         assert result.stderr.startswith("numerical error: mode 1:")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["sample", "density", "lstsq"])
+    @pytest.mark.parametrize("factor", [
+        pytest.param([[1e300, 1e300], [1e-300, 1.0]], id="huge-and-tiny"),
+        pytest.param([[1e308, 1e308], [1e308, -1e308]], id="overflowing-update"),
+        pytest.param([[1e200, 0.0], [0.0, 1e200]], id="1e200-identity"),
+    ])
+    def test_extreme_factor_finite_or_exits_3(self, tmp_path, capsys, command, factor):
+        # RuntimeWarning is an error under the suite's filter, so any warning fails here
+        f, draws = tmp_path / "f.mat", tmp_path / "x.arr"
+        write_matrix(np.array(factor), f)
+        write_arrays([np.ones(2)], draws)
+        extra = {"sample": ["--n", 3], "density": ["--input", draws], "lstsq": ["--input", draws]}[command]
+        code = run_cli(command, "--factor", f, *extra)
+        captured = capsys.readouterr()
+        assert code in (0, 3)
+        if code == 3:
+            assert captured.out == ""
+            assert captured.err.startswith("numerical error: mode 1:")
+        else:
+            values = (np.array(captured.out.split(), float) if command == "density"
+                      else np.concatenate([x.ravel() for x in parse_arrays(captured.out)]))
+            assert values.size and np.isfinite(values).all()
 
     def test_malformed_factor_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "broken.mat"
@@ -343,6 +368,23 @@ class TestRadial:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("kernel, n, rmax", [
+        (["--kernel", "t", "--df", "5"], 6, 10.0),
+        (["--kernel", "normal"], 512, 40.0),
+        (["--kernel", "normal"], 1, 3.0),
+        (["--kernel", "cauchy"], 1, 50.0),
+        (["--kernel", "t", "--df", "1e15"], 4, 7.0),
+    ])
+    def test_table_equals_per_point_values(self, capsys, kernel, n, rmax):
+        # the table is one vectorized radial_pdf call; each line must carry the scalar call's value
+        steps = 200
+        assert run_cli("radial", *kernel, "--n", n, "--rmax", rmax, "--steps", steps) == 0
+        k = Kernel.from_name(kernel[1], float(kernel[3]) if len(kernel) > 2 else None)
+        expected = "".join(
+            f"{r:.17g} {radial_pdf(k, r, n):.17g}\n" for r in (rmax * j / steps for j in range(steps + 1))
+        )
+        assert capsys.readouterr().out == expected
+
 
 class TestGoldenBytes:
     """CLI output bytes against SHA-256 digests recorded with the per-value
@@ -351,15 +393,19 @@ class TestGoldenBytes:
 
     # case -> (kernel flags, shape, sample --n, {command: digest})
     GOLDEN = {
+        # lstsq (both cases) and the normal-8x8x8 density were re-pinned when
+        # arrayvariate.linalg moved from scipy.linalg to numpy.linalg, whose
+        # LAPACK build rounds differently; test_numpy_values_match_scipy_path
+        # bounds the moved values against the scipy path
         "t5-2x3": (["--kernel", "t", "--df", "5"], (2, 3), 400, {
             "sample": "8cfb7b30d187f389bbaad25062f19964b1a73f34d7674a45c12f6a603cfc9ad7",
             "density": "9939d51b94a59a401da129916ca7ef92daada2219de3dabf790c787ee941a27b",
-            "lstsq": "38c690209db7055f1b8ad8283352388433bf63d0b66de2ad19d805b98432c13d",
+            "lstsq": "5f26240cfa37dc39668f3b83619b3e551a7c2702395b97cb9e370616e90e61c2",
         }),
         "normal-8x8x8": (["--kernel", "normal"], (8, 8, 8), 20, {
             "sample": "16de5f0e50a0d177c35057c0f5103b17d6a4cce230d45077998d871300d89e3f",
-            "density": "4213080e5c5d7ce51e217fbc80beeec21129662f1b2e5c5b5f95bde0d70219ea",
-            "lstsq": "c61342364b250bcacad47326d53405662f6deaa93df57d700d664b7280cbddae",
+            "density": "725424d716a6dc2bcae7f36354a331c8c15df5db23c981aa205f8b3d30088076",
+            "lstsq": "43e30fa5b516e1561ceb93626bfe0920ad37f97231d0ea66600679fe765d9a63",
         }),
     }
 
@@ -380,12 +426,29 @@ class TestGoldenBytes:
         assert run_cli("sample", *model, "--n", n, "--seed", 99, "--out", out["sample"]) == 0
         assert run_cli("density", *model, "--input", out["sample"], "--out", out["density"]) == 0
         assert run_cli("lstsq", *maps, "--input", observed, "--out", out["lstsq"]) == 0
-        return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
+        return {name: path.read_bytes() for name, path in out.items()}
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_outputs_match_recorded_digests(self, tmp_path, case):
         kernel, shape, n, digests = self.GOLDEN[case]
-        assert self.outputs(tmp_path, kernel, shape, n) == digests
+        outputs = self.outputs(tmp_path, kernel, shape, n)
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == digests
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_numpy_values_match_scipy_path(self, tmp_path, monkeypatch, case):
+        kernel, shape, n, _ = self.GOLDEN[case]
+        (tmp_path / "numpy").mkdir()
+        (tmp_path / "scipy").mkdir()
+        got = self.outputs(tmp_path / "numpy", kernel, shape, n)
+        for name, f in SCIPY_LINALG.items():
+            monkeypatch.setattr(linalg, name, f)
+        ref = self.outputs(tmp_path / "scipy", kernel, shape, n)
+        assert got["sample"] == ref["sample"]
+        density = [np.array(data.decode().split(), float) for data in (got["density"], ref["density"])]
+        np.testing.assert_allclose(*density, rtol=1e-13, atol=0)
+        # an estimate cell is a sum with cancellation, so its error is relative to the largest cell
+        (estimate,), (expected,) = parse_arrays(got["lstsq"].decode()), parse_arrays(ref["lstsq"].decode())
+        assert np.max(np.abs(estimate - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestEntryPoint:
@@ -402,14 +465,53 @@ class TestEntryPoint:
         assert first.shape == (2,)
         assert second.shape == (2,)
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is imported only by the t importance proposal and the radial KS check
+    # Runs cli.main on each argv list in a fresh interpreter, then prints the
+    # exit codes and the scipy modules loaded.
+    SCIPY_PROBE = (
+        "import json, sys\n"
+        "from arrayvariate import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+
+    def scipy_probe(self, *argvs):
         result = subprocess.run(
-            [sys.executable, "-c", "import sys, arrayvariate.cli; print('scipy.stats' in sys.modules)"],
+            [sys.executable, "-c", self.SCIPY_PROBE, json.dumps([[str(a) for a in argv] for argv in argvs])],
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # importing the CLI loads no scipy module at all, scipy.stats included
+        assert self.scipy_probe() == [[], []]
+
+    def test_normal_sample_density_and_lstsq_load_no_scipy(self, tmp_path, model_files):
+        f1, f2, mean = model_files
+        draws, observed = tmp_path / "draws.arr", tmp_path / "observed.arr"
+        write_arrays([np.arange(4.0).reshape(2, 2)], observed)
+        model = ["--factor", f1, "--factor", f2, "--mean", mean]
+        codes, loaded = self.scipy_probe(
+            ["sample", *model, "--n", 50, "--seed", 3, "--out", draws],
+            ["density", *model, "--input", draws, "--out", tmp_path / "density.txt"],
+            ["lstsq", "--factor", f1, "--factor", f2, "--input", observed, "--out", tmp_path / "estimate.arr"],
+        )
+        assert codes == [0, 0, 0]
+        assert loaded == []
+        assert len((tmp_path / "density.txt").read_text().split()) == 50
+
+    def test_t_density_loads_scipy_special(self, tmp_path, model_files):
+        f1, f2, mean = model_files
+        draws = tmp_path / "draws.arr"
+        model = ["--kernel", "t", "--df", 5, "--factor", f1, "--factor", f2, "--mean", mean]
+        codes, loaded = self.scipy_probe(
+            ["sample", *model, "--n", 5, "--seed", 3, "--out", draws],
+            ["density", *model, "--input", draws, "--out", tmp_path / "density.txt"],
+        )
+        assert codes == [0, 0]
+        assert "scipy.special" in loaded
+        assert "scipy.stats" not in loaded
+        assert len((tmp_path / "density.txt").read_text().split()) == 5
 
     def test_arithmetic_error_exits_3(self, monkeypatch, capsys):
         def overflow(kernel, r, k):

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrayvariate import linalg
 from arrayvariate.errors import FormatError, SingularMatrixError
-from support import well_conditioned
+from support import SCIPY_LINALG, well_conditioned
 
 
 class TestLuDet:
@@ -113,6 +117,157 @@ class TestPlumbing:
     def test_solve_size_mismatch(self):
         with pytest.raises(ValueError):
             linalg.solve(np.eye(2), np.zeros(3))
+
+
+def with_condition(gen, rows, cols, cond):
+    """Random ``rows x cols`` matrix whose singular values run log-evenly from 1 down to 1/cond."""
+    q1, _ = np.linalg.qr(gen.standard_normal((rows, rows)))
+    q2, _ = np.linalg.qr(gen.standard_normal((cols, cols)))
+    s = np.logspace(0.0, -np.log10(cond), cols)
+    return (q1[:, :cols] * gen.permutation(s)) @ q2
+
+
+def outcome(f, *args):
+    """The value of ``f(*args)``, or the SingularMatrixError message it raises."""
+    try:
+        return f(*args)
+    except SingularMatrixError as exc:
+        return str(exc)
+
+
+def assert_relative(out, ref, tol):
+    out, ref = np.asarray(out), np.asarray(ref)
+    assert out.shape == ref.shape
+    assert np.linalg.norm(out - ref) <= tol * np.linalg.norm(ref)
+
+
+class TestAgainstScipy:
+    """The numpy kernel against the scipy.linalg routines it replaced (tests/support.py)."""
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 32), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+    def test_square_functions(self, n, log_cond, seed):
+        cond = 10.0 ** log_cond
+        gen = np.random.default_rng(seed)
+        a = with_condition(gen, n, n, cond) * 10.0 ** gen.uniform(-100, 100)
+        b = gen.standard_normal((n, 3))
+        assert_relative(linalg.inverse(a), SCIPY_LINALG["inverse"](a), 1e-12 * cond)
+        assert_relative(linalg.solve(a, b), SCIPY_LINALG["solve"](a, b), 1e-12 * cond)
+        ref = SCIPY_LINALG["logabsdet"](a)
+        assert abs(linalg.logabsdet(a) - ref) <= 1e-12 * cond * max(1.0, abs(ref))
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 32), st.integers(0, 31), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+    def test_l_inverse(self, cols, extra, log_cond, seed):
+        # l_inverse solves the normal equations, so its condition number is that of A'A
+        cond = 10.0 ** log_cond
+        gen = np.random.default_rng(seed)
+        a = with_condition(gen, cols + extra, cols, cond ** 0.5)
+        assert_relative(linalg.l_inverse(a), SCIPY_LINALG["l_inverse"](a), 1e-12 * cond)
+
+    def test_256(self):
+        cond = 1e6
+        gen = np.random.default_rng(256)
+        a = with_condition(gen, 256, 256, cond)
+        b = gen.standard_normal(256)
+        assert_relative(linalg.inverse(a), SCIPY_LINALG["inverse"](a), 1e-12 * cond)
+        assert_relative(linalg.solve(a, b), SCIPY_LINALG["solve"](a, b), 1e-12 * cond)
+        assert linalg.logabsdet(a) == pytest.approx(SCIPY_LINALG["logabsdet"](a), rel=1e-12 * cond)
+        tall = with_condition(gen, 256, 200, cond ** 0.5)
+        assert_relative(linalg.l_inverse(tall), SCIPY_LINALG["l_inverse"](tall), 1e-12 * cond)
+
+    @pytest.mark.parametrize("name", sorted(SCIPY_LINALG))
+    @pytest.mark.parametrize("k", range(10, 15))
+    def test_pivot_ratio_decisions(self, name, k):
+        # diag(1, 10^-k) sits on either side of PIVOT_RTOL = 1e-12 as k passes 12
+        a = np.diag([1.0, 10.0 ** -k])
+        args = (a, np.ones(2)) if name == "solve" else (a,)
+        got, ref = outcome(getattr(linalg, name), *args), outcome(SCIPY_LINALG[name], *args)
+        assert isinstance(got, str) == isinstance(ref, str)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(SCIPY_LINALG))
+    @pytest.mark.parametrize("a", [
+        pytest.param(np.array([[0.0, 1.0], [1.0, 0.0]]), id="zero-leading-entry"),
+        pytest.param(np.array([[1e-13, 1.0], [1.0, 1.0]]), id="tiny-leading-entry"),
+        pytest.param(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]]), id="3x3-needs-swaps"),
+    ])
+    def test_pivoting_decisions(self, name, a):
+        # without row swaps the first pivot is 0 or 1e-13 and the ratio test would reject these
+        args = (a, np.ones(a.shape[0])) if name == "solve" else (a,)
+        assert_relative(getattr(linalg, name)(*args), SCIPY_LINALG[name](*args), 1e-12 * np.linalg.cond(a))
+
+    RANK_DEFICIENT = [
+        pytest.param(np.array([[1.0, 2.0], [2.0, 4.0]]), id="2x2-rank-1"),
+        pytest.param(np.zeros((3, 3)), id="zero"),
+        pytest.param(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), id="3x2-repeated-column"),
+        pytest.param(np.outer(np.arange(1.0, 5.0), [1.0, -2.0, 0.5]), id="4x3-rank-1"),
+        pytest.param(np.random.default_rng(7).standard_normal((6, 2)) @ np.random.default_rng(8).standard_normal((2, 4)),
+                     id="6x4-rank-2"),
+        pytest.param(np.random.default_rng(9).standard_normal((5, 3)) @ np.random.default_rng(10).standard_normal((3, 5)),
+                     id="5x5-rank-3"),
+    ]
+
+    # l_inverse's two rejections: the Cholesky factorization of A'A fails, or
+    # its pivots fail the ratio test.  Which one a rank-deficient A meets
+    # depends on the rounding of a last pivot near zero, so either is accepted.
+    RANK_MESSAGES = (
+        "matrix is rank deficient",
+        "matrix is rank deficient to working precision (pivot ratio below 1e-12)",
+    )
+
+    @pytest.mark.parametrize("a", RANK_DEFICIENT)
+    def test_rank_deficient_decisions(self, a):
+        assert outcome(SCIPY_LINALG["l_inverse"], a) in self.RANK_MESSAGES
+        assert outcome(linalg.l_inverse, a) in self.RANK_MESSAGES
+        if a.shape[0] == a.shape[1]:
+            for name in ("inverse", "solve", "logabsdet"):
+                args = (a, np.ones(a.shape[0])) if name == "solve" else (a,)
+                ref = outcome(SCIPY_LINALG[name], *args)
+                assert isinstance(ref, str), name
+                assert outcome(getattr(linalg, name), *args) == ref, name
+
+    def test_messages(self):
+        singular = "matrix is singular to working precision (pivot ratio below 1e-12)"
+        assert outcome(linalg.inverse, np.zeros((2, 2))) == singular
+        assert outcome(linalg.logabsdet, np.ones((2, 2))) == singular
+        assert outcome(linalg.solve, np.diag([1.0, 1e-13]), np.ones(2)) == singular
+        assert outcome(linalg.l_inverse, np.ones((2, 3))) == "a 2x3 matrix cannot have full column rank"
+        assert outcome(linalg.l_inverse, np.ones((3, 2))) in self.RANK_MESSAGES
+
+
+EXTREME = [
+    pytest.param(np.array([[1e300, 1e300], [1e-300, 1.0]]), id="huge-and-tiny"),
+    pytest.param(np.array([[1e308, 1e308], [1e308, -1e308]]), id="overflowing-update"),
+    pytest.param(1e200 * np.eye(2), id="1e200-identity"),
+    pytest.param(1e-200 * np.eye(2), id="1e-200-identity"),
+    pytest.param(np.array([[1e-300, 1.0], [1.0, 1e300]]), id="tiny-pivot-first"),
+]
+
+
+class TestExtremeEntries:
+    """Finite answers or a SingularMatrixError (an ArithmeticError), never a RuntimeWarning."""
+
+    @pytest.mark.parametrize("a", EXTREME)
+    @pytest.mark.parametrize("name", ["inverse", "solve", "logabsdet", "l_inverse"])
+    def test_finite_or_arithmetic_error(self, a, name):
+        args = (a, np.ones(2)) if name == "solve" else (a,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = getattr(linalg, name)(*args)
+            except ArithmeticError:
+                return
+        if name != "inverse":  # a finite factor's inverse may overflow; KroneckerModel rejects it
+            assert np.isfinite(out).all()
+
+    def test_scaled_identity_left_inverse(self):
+        # A'A would underflow or overflow; the power-of-two scaling keeps it in range
+        for scale in (1e-300, 1e-200, 1e200, 1e300):
+            np.testing.assert_allclose(linalg.l_inverse(scale * np.eye(3)), np.eye(3) / scale, rtol=1e-15)
 
 
 class TestMatv1:

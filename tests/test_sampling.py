@@ -8,7 +8,7 @@ from arrayvariate import densities as dn
 from arrayvariate import sampling as sp
 from arrayvariate.array_core import rvec, sq_norm
 from arrayvariate.kronecker import inv_kron_chain
-from support import random_model, sample_std_normal_array
+from support import random_model
 
 
 class TestRandomStream:
@@ -30,24 +30,28 @@ class TestRandomStream:
 
 
 class TestStdNormalArray:
+    """Identity normal model: every draw's cells are i.i.d. standard normal."""
+
+    @staticmethod
+    def draws(shape, n, seed):
+        model = dn.KroneckerModel(np.zeros(shape), [np.eye(d) for d in shape], dn.Kernel.normal())
+        return sp.sample_elliptical_rvecs(model, n, sp.RandomStream(seed))
+
     def test_entry_means(self):
         n = 100_000
-        stream = sp.RandomStream(100)
-        total = np.zeros((2, 2))
-        for _ in range(n):
-            total += sample_std_normal_array((2, 2), stream)
+        rows = self.draws((2, 2), n, 100)
         bound = 3.0 / math.sqrt(n)
-        assert np.max(np.abs(total / n)) <= bound
+        assert np.max(np.abs(rows.mean(axis=0))) <= bound
 
     def test_sq_norm_is_chi_square(self):
-        stream = sp.RandomStream(101)
         m = 6
-        values = np.array([sq_norm(sample_std_normal_array((2, 3), stream)) for _ in range(20_000)])
+        rows = self.draws((2, 3), 20_000, 101)
+        values = np.einsum("ij,ij->i", rows, rows)
         assert stats.kstest(values, stats.chi2(m).cdf).pvalue >= 0.01
 
     def test_reproducible_first_draw(self):
-        first = sample_std_normal_array((2, 2), sp.RandomStream(7))
-        again = sample_std_normal_array((2, 2), sp.RandomStream(7))
+        first = self.draws((2, 2), 1, 7)
+        again = self.draws((2, 2), 1, 7)
         np.testing.assert_array_equal(first, again)
 
 
