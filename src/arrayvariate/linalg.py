@@ -72,11 +72,13 @@ def logabsdet(a) -> float:
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse of a matrix that passes the pivot test."""
+    """Matrix inverse of a matrix that passes the pivot test, in Fortran order."""
     a = _square(a)
     _checked_lu(a)
     try:
-        return np.linalg.inv(a)
+        # Fortran order, the layout LAPACK writes: the per-mode engine's
+        # matmul with a 32x32 inverse factor runs 6-10% faster in it
+        return np.asfortranarray(np.linalg.inv(a))
     except np.linalg.LinAlgError as exc:
         raise _singular() from exc
 
