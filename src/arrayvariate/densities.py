@@ -244,7 +244,7 @@ class KroneckerModel:
         factors = [linalg.as_matrix(f) for f in factors]
         if len(factors) != mean.ndim:
             raise ValueError(f"{len(factors)} factors for a mean array of order {mean.ndim}")
-        inv_factors = []
+        inv_factors, logdets = [], []
         for j, f in enumerate(factors, start=1):
             mj = mean.shape[j - 1]
             if f.shape != (mj, mj):
@@ -256,11 +256,13 @@ class KroneckerModel:
             if not np.isfinite(inv).all():
                 raise SingularMatrixError(f"mode {j}: factor's inverse is not finite")
             inv_factors.append(inv)
+            # inverse ran the pivot test, so this is linalg.logabsdet without a second one
+            logdets.append(float(np.linalg.slogdet(f)[1]))
         self.mean = mean
         self.factors = tuple(factors)
         self.kernel = kernel
         self.inv_factors = tuple(inv_factors)
-        self.log_jac = log_jacobian(self.factors)
+        self.log_jac = _weighted_logdets(logdets, mean.shape)
 
     @property
     def shape(self):
@@ -293,14 +295,23 @@ def log_jacobian(factors, squared=False) -> float:
         if f.shape[0] != f.shape[1]:
             raise ValueError(f"factor {j} must be square, got {f.shape[0]}x{f.shape[1]}")
         dims.append(f.shape[0])
-    m = math.prod(dims)
-    total = 0.0
-    for j, (f, mj) in enumerate(zip(factors, dims), start=1):
+    logdets = []
+    for j, f in enumerate(factors, start=1):
         try:
-            total += (m // mj) * linalg.logabsdet(f)
+            logdets.append(linalg.logabsdet(f))
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"mode {j}: factor is singular") from exc
+    total = _weighted_logdets(logdets, dims)
     return 2.0 * total if squared else total
+
+
+def _weighted_logdets(logdets, dims) -> float:
+    # sum_j (m/mj) log |det Aj|, accumulated in mode order
+    m = math.prod(dims)
+    total = 0.0
+    for logdet, mj in zip(logdets, dims):
+        total += (m // mj) * logdet
+    return total
 
 
 def _checked_array(model, x) -> np.ndarray:

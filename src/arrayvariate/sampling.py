@@ -1,15 +1,20 @@
 """Exact samplers built on the spherical representation ``x = r * u``.
 
 A spherical draw splits into an independent radius ``r`` (kernel-specific
-law) and a direction ``u`` uniform on the unit sphere.  The elliptical array
-sampler draws every Gaussian vector and then every radius divisor, and runs
-the rest through :func:`~arrayvariate.multilinear.map_tiles` one row tile at
-a time: a tile's ``r * u`` is formed straight in the engine's batch-trailing
-layout, pushed through the model's per-mode factors, shifted by the location
-and written back over the tile's own Gaussian vectors.  The kernel supplies
-the radius law: for the normal kernel the radius is a chi draw; for the t
-kernel it is a Gaussian norm over a scaled chi, which is exact (no quadrature
-or inversion anywhere).
+law) and a direction ``u`` uniform on the unit sphere.  With ``z`` a
+standard Gaussian vector, ``u = z / ||z||`` and ``r = ||z|| / d`` for the
+kernel's radius divisor ``d``, so ``r * u = z / d`` exactly and the sampler
+never forms a norm.  Draw k of the elliptical array sampler is
+``M + K (z_k / d_k)``: the n divisors come first from the stream (the normal
+kernel's divisor is 1 and draws nothing), then ``z_k`` is normals
+``k*m ... (k+1)*m - 1`` of the stream.  The rest runs through
+:func:`~arrayvariate.multilinear.map_tiles` one row tile at a time: a tile's
+normals are drawn in stream order into the output's own rows, moved into the
+engine's batch-trailing layout with the divisors applied, pushed through the
+model's per-mode factors, shifted by the location and written back over the
+same rows.  The kernel supplies the divisor law: 1 for the normal kernel,
+``sqrt(w / df)`` with w a chi-square draw for the t kernel, which is exact
+(no quadrature or inversion anywhere).
 """
 
 import numpy as np
@@ -67,31 +72,29 @@ def sample_radii(kernel, m, n, stream) -> np.ndarray:
 
 
 def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
-    """n draws from the model, stacked: row j is ``rvec`` of the j-th array.
+    """n draws from the model, stacked: row k is ``rvec`` of the k-th array.
 
-    Each row realizes ``r * u`` from one Gaussian vector (direction = the
-    normalized vector, radius = its norm rescaled for the kernel), then gets
-    the per-mode factors applied and the location added.
+    Row k is ``M + K (z_k / d_k)`` with ``d`` the kernel's n radius divisors,
+    drawn first, and ``z_k`` the k-th run of m standard normals drawn after
+    them; a prefix of the draws therefore does not depend on n for the
+    normal kernel.
     """
     n = int(n)
     if n < 0:
         raise ValueError(f"draw count must be >= 0, got {n}")
     gen = stream.generator
-    z = gen.standard_normal((n, model.m))
     divisors = np.broadcast_to(model.kernel.radius_divisor(n, gen), n)
+    rows = np.empty((n, model.m))
     mean = rvec(model.mean)
 
     def enter(tile):
-        norms = np.linalg.norm(z[tile], axis=1)
-        norms[norms == 0.0] = 1.0  # measure-zero guard
-        # u = z / ||z||, then r * u, written as the tile's batch-trailing block
-        spherical = np.divide(z[tile].T, norms, order="C")
-        spherical *= norms / divisors[tile]
-        return spherical
+        # the tile's normals, in stream order, land in its own output rows
+        z = gen.standard_normal(out=rows[tile])
+        return np.divide(z.T, divisors[tile], order="C")
 
     for tile, block in map_tiles(model.factors, model.shape, n, enter):
-        np.add(block.T, mean, out=z[tile])  # the tile's draws replace its Gaussian vectors
-    return z
+        np.add(block.T, mean, out=rows[tile])  # the tile's draws replace its normals
+    return rows
 
 
 def sample_elliptical(model, n, stream) -> list:

@@ -206,6 +206,21 @@ def logpdf_elliptical_rvecs_untiled(model, rows) -> np.ndarray:
 
 
 def sample_elliptical_rvecs_untiled(model, n, stream) -> np.ndarray:
+    """The sampler's definition on one whole batch: the n radius divisors,
+    then the n x m normals, then ``M + K (z / d)``."""
+    from arrayvariate.array_core import rvec
+
+    gen = stream.generator
+    divisors = np.broadcast_to(model.kernel.radius_divisor(n, gen), n)
+    z = gen.standard_normal((n, model.m))
+    rows = apply_modes_untiled(model.factors, np.divide(z.T, divisors, order="C").T, model.shape)
+    return np.add(rows, rvec(model.mean), order="C")
+
+
+def sample_elliptical_rvecs_spherical(model, n, stream) -> np.ndarray:
+    """The sampler the tiled one replaced: the normals first, then the divisors,
+    and ``r * u`` formed as ``(||z|| / d) * (z / ||z||)``.  For the normal
+    kernel it equals the current sampler up to rounding."""
     from arrayvariate.array_core import rvec
 
     gen = stream.generator

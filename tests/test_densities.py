@@ -317,3 +317,20 @@ class TestModelValidation:
         with pytest.raises(SingularMatrixError, match="mode 2: .*not finite"):
             dn.KroneckerModel(np.zeros((2, 2)), [np.eye(2), 1e-310 * np.eye(2)], dn.Kernel.normal())
 
+
+    @pytest.mark.parametrize("dims", [(2, 3), (8, 8, 8), (32, 32, 16)])
+    def test_one_pivot_check_per_factor(self, monkeypatch, dims):
+        calls = []
+        checked_lu = linalg._checked_lu
+        monkeypatch.setattr(linalg, "_checked_lu", lambda a: calls.append(a) or checked_lu(a))
+        model = random_model(np.random.default_rng(320), dims, dn.Kernel.normal())
+        assert len(calls) == model.order
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1))
+    def test_log_jac_equals_log_jacobian_bitwise(self, seed):
+        gen = np.random.default_rng(seed)
+        dims = random_shape(gen)
+        factors = [well_conditioned(gen, d) * 10.0 ** gen.uniform(-50, 50) for d in dims]
+        model = dn.KroneckerModel(np.zeros(dims), factors, dn.Kernel.normal())
+        assert model.log_jac == dn.log_jacobian(factors)
