@@ -1,20 +1,18 @@
 """Exact samplers built on the spherical representation ``x = r * u``.
 
 A spherical draw splits into an independent radius ``r`` (kernel-specific
-law) and a direction ``u`` uniform on the unit sphere.  With ``z`` a
-standard Gaussian vector, ``u = z / ||z||`` and ``r = ||z|| / d`` for the
-kernel's radius divisor ``d``, so ``r * u = z / d`` exactly and the sampler
-never forms a norm.  Draw k of the elliptical array sampler is
-``M + K (z_k / d_k)``: the n divisors come first from the stream (the normal
-kernel's divisor is 1 and draws nothing), then ``z_k`` is normals
-``k*m ... (k+1)*m - 1`` of the stream.  The rest runs through
+law) and a direction ``u`` uniform on the unit sphere.  With ``z`` a standard
+Gaussian vector, ``u = z / ||z||`` and ``r = ||z|| / d`` for the kernel's
+radius divisor ``d`` (1 for the normal kernel, ``sqrt(w / df)`` with w a
+chi-square draw for the t kernel), so ``r * u = z / d`` exactly and no norm
+is formed.  Draw k of the elliptical array sampler is ``M + K (z_k / d_k)``:
+the n divisors come first from the stream (the normal kernel draws none),
+then ``z_k`` is normals ``k*m ... (k+1)*m - 1``.  The rest runs through
 :func:`~arrayvariate.multilinear.map_tiles` one row tile at a time: a tile's
-normals are drawn in stream order into the output's own rows, moved into the
-engine's batch-trailing layout with the divisors applied, pushed through the
-model's per-mode factors, shifted by the location and written back over the
-same rows.  The kernel supplies the divisor law: 1 for the normal kernel,
-``sqrt(w / df)`` with w a chi-square draw for the t kernel, which is exact
-(no quadrature or inversion anywhere).
+normals are drawn into the output's own rows, moved into the engine's
+batch-trailing layout divided by their divisors, pushed through the model's
+per-mode factors, shifted by the location and written back over the same
+rows.  Nothing is computed by quadrature or inversion.
 """
 
 import numpy as np
