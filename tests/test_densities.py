@@ -317,7 +317,6 @@ class TestModelValidation:
         with pytest.raises(SingularMatrixError, match="mode 2: .*not finite"):
             dn.KroneckerModel(np.zeros((2, 2)), [np.eye(2), 1e-310 * np.eye(2)], dn.Kernel.normal())
 
-
     @pytest.mark.parametrize("dims", [(2, 3), (8, 8, 8), (32, 32, 16)])
     def test_one_pivot_check_per_factor(self, monkeypatch, dims):
         calls = []
