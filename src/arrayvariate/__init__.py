@@ -33,7 +33,7 @@ from .densities import (
     standardize,
 )
 from .errors import FormatError, SingularMatrixError
-from .kronecker import chain_trace, inv_kron, inv_kron_chain
+from .kronecker import inv_kron, inv_kron_chain
 from .linalg import (
     dump_matrix,
     inverse,

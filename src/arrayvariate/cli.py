@@ -20,6 +20,7 @@ Examples::
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 
@@ -147,7 +148,11 @@ def cmd_radial(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and reused by every later
+    # call in the process: parse_args leaves the parser unchanged, and an
+    # append flag's default list is copied before it is appended to.
     parser = argparse.ArgumentParser(
         prog="arrayvariate",
         description="Sample, evaluate and verify multiway distributions with Kronecker-structured covariance.",

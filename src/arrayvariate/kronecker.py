@@ -1,4 +1,4 @@
-"""The reversed Kronecker product ``A (x)' B = B (x) A`` and the chain trace shortcut.
+"""The reversed Kronecker product ``A (x)' B = B (x) A`` and its chain over ordered factors.
 
 The reversal is what makes chained per-mode maps act directly on the
 first-index-fastest stacked vector: the classical identity
@@ -28,14 +28,6 @@ def _factor_list(factors):
     return fs
 
 
-def _square_factors(factors):
-    fs = _factor_list(factors)
-    for j, f in enumerate(fs, start=1):
-        if f.shape[0] != f.shape[1]:
-            raise ValueError(f"factor {j} must be square, got {f.shape[0]}x{f.shape[1]}")
-    return fs
-
-
 def inv_kron_chain(factors) -> np.ndarray:
     """Left-associated fold of :func:`inv_kron` over an ordered factor list.
 
@@ -44,12 +36,3 @@ def inv_kron_chain(factors) -> np.ndarray:
     and oracles, not for density or sampling hot paths.
     """
     return reduce(inv_kron, _factor_list(factors))
-
-
-def chain_trace(factors) -> float:
-    """Trace of the expanded chain: the product of the factor traces."""
-    fs = _square_factors(factors)
-    out = 1.0
-    for f in fs:
-        out *= float(np.trace(f))
-    return out

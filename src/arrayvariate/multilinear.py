@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .array_core import as_array, rvec, sq_norm
+from .array_core import as_array, rvec
 from .errors import SingularMatrixError
 
 # Input bytes per row tile, sized to stay in a core's L2 cache.  A tile holds
@@ -117,8 +117,3 @@ def multilinear_lstsq(maps, y) -> np.ndarray:
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"mode {j}: map is rank deficient") from exc
     return r_multiply(inv_maps, y)
-
-
-def lstsq_residual(maps, y, x) -> float:
-    """Squared residual norm ``||y - r_multiply(maps, x)||^2``."""
-    return sq_norm(as_array(y) - r_multiply(maps, x))

@@ -75,13 +75,21 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
     Row k is ``M + K (z_k / d_k)`` with ``d`` the kernel's n radius divisors,
     drawn first, and ``z_k`` the k-th run of m standard normals drawn after
     them; a prefix of the draws therefore does not depend on n for the
-    normal kernel.
+    normal kernel.  Raises ``OverflowError`` when a draw is not finite in
+    floating point, such as a t draw whose chi-square divisor underflowed to 0
+    at small df: a zero divisor is rejected before any division, and every
+    other overflow when its tile is finished.
     """
     n = int(n)
     if n < 0:
         raise ValueError(f"draw count must be >= 0, got {n}")
     gen = stream.generator
-    divisors = np.broadcast_to(model.kernel.radius_divisor(n, gen), n)
+    kernel = model.kernel
+    d = np.asarray(kernel.radius_divisor(n, gen))  # the normal kernel's is the scalar 1
+    divisors = np.broadcast_to(d, n)
+    if d.size and not d.min() > 0.0:
+        k = int(np.argmin(divisors))
+        raise _unrepresentable(kernel, k, f"its radius divisor is {divisors[k]:g}")
     rows = np.empty((n, model.m))
     mean = rvec(model.mean)
 
@@ -90,9 +98,20 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
         z = gen.standard_normal(out=rows[tile])
         return np.divide(z.T, divisors[tile], order="C")
 
-    for tile, block in map_tiles(model.factors, model.shape, n, enter):
-        np.add(block.T, mean, out=rows[tile])  # the tile's draws replace its normals
+    # an overflow leaves an inf or nan in its tile, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tile, block in map_tiles(model.factors, model.shape, n, enter):
+            done = rows[tile]
+            np.add(block.T, mean, out=done)  # the tile's draws replace its normals
+            if not np.isfinite(done).all():
+                k = tile.start + int(np.argmin(np.isfinite(done).all(axis=1)))
+                raise _unrepresentable(kernel, k, "it overflows")
     return rows
+
+
+def _unrepresentable(kernel, k, reason):
+    df = "" if kernel.df is None else f" with df {kernel.df:g}"
+    return OverflowError(f"{kernel.name} kernel{df}: draw {k} is not representable in floating point ({reason})")
 
 
 def sample_elliptical(model, n, stream) -> list:

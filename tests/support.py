@@ -117,7 +117,9 @@ SCIPY_LINALG = {"inverse": inverse_scipy, "solve": solve_scipy, "logabsdet": log
 
 # ---------------------------------------------------------------------------
 # Reference per-mode engine: the nested sum that defines r_multiply, the
-# monolinear and composition checks built on r_multiply, and the untiled
+# monolinear and composition checks built on r_multiply, the chain trace and
+# the least-squares residual that the identity and optimality checks use, and
+# the untiled
 # engine (one whole-batch layout move, one matmul per mode over the whole
 # batch) with the density and sampler that ran on it before the tiled engine
 # in arrayvariate.multilinear replaced it, kept as oracles for the
@@ -178,6 +180,26 @@ def composition_check(maps_a, maps_b, x) -> float:
     prod_maps = [as_matrix(a) @ as_matrix(b) for a, b in zip(maps_a, maps_b)]
     rhs = r_multiply(prod_maps, x)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def chain_trace(factors) -> float:
+    """Trace of the expanded chain ``inv_kron_chain(factors)``: the product of the factor traces."""
+    from arrayvariate.linalg import as_matrix
+
+    out = 1.0
+    for j, f in enumerate((as_matrix(f) for f in factors), start=1):
+        if f.shape[0] != f.shape[1]:
+            raise ValueError(f"factor {j} must be square, got {f.shape[0]}x{f.shape[1]}")
+        out *= float(np.trace(f))
+    return out
+
+
+def lstsq_residual(maps, y, x) -> float:
+    """Squared residual norm ``||y - r_multiply(maps, x)||^2``."""
+    from arrayvariate.array_core import as_array, sq_norm
+    from arrayvariate.multilinear import r_multiply
+
+    return sq_norm(as_array(y) - r_multiply(maps, x))
 
 
 def apply_modes_untiled(maps, rows, shape) -> np.ndarray:

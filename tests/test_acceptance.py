@@ -20,7 +20,14 @@ from arrayvariate import sampling as sp
 from arrayvariate import verify as vf
 from arrayvariate.array_core import rvec, sq_norm, write_arrays
 from arrayvariate.linalg import write_matrix
-from support import monolinear_equiv_check, random_shape, well_conditioned, with_kernel
+from support import (
+    chain_trace,
+    lstsq_residual,
+    monolinear_equiv_check,
+    random_shape,
+    well_conditioned,
+    with_kernel,
+)
 
 
 def report(num, label, ok, detail=""):
@@ -103,7 +110,7 @@ def test_c2_kronecker_identity_suite():
         na, nb = trial_dims(), trial_dims()
         a = gen.standard_normal((na, na))
         b = gen.standard_normal((nb, nb))
-        lhs = kr.chain_trace([a, b])
+        lhs = chain_trace([a, b])
         rhs = float(np.trace(kr.inv_kron(a, b)))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     if worst > 1e-10:
@@ -242,8 +249,8 @@ def test_c6_least_squares():
         for idx in np.ndindex(xhat.shape):
             bump = np.zeros(xhat.shape)
             bump[idx] = step
-            grad = (ml.lstsq_residual(maps, y, xhat + bump)
-                    - ml.lstsq_residual(maps, y, xhat - bump)) / (2 * step)
+            grad = (lstsq_residual(maps, y, xhat + bump)
+                    - lstsq_residual(maps, y, xhat - bump)) / (2 * step)
             worst_grad = max(worst_grad, abs(grad))
     if worst_grad > 1e-5:
         failures.append(f"fd gradient {worst_grad:.2e}")
@@ -251,13 +258,13 @@ def test_c6_least_squares():
     maps = [well_conditioned(gen, 4, 2), well_conditioned(gen, 3, 2)]
     y = gen.standard_normal((4, 3))
     xhat = ml.multilinear_lstsq(maps, y)
-    base = ml.lstsq_residual(maps, y, xhat)
+    base = lstsq_residual(maps, y, xhat)
     wins = 0
     for _ in range(100):
         delta = gen.standard_normal(xhat.shape)
         scale = 1e-3 if wins % 2 == 0 else 1e-1
         step = delta * (scale / np.sqrt(sq_norm(delta)))
-        if base <= ml.lstsq_residual(maps, y, xhat + step):
+        if base <= lstsq_residual(maps, y, xhat + step):
             wins += 1
     if wins != 100:
         failures.append(f"perturbation optimality {wins}/100")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -88,6 +89,19 @@ class TestSample:
         assert len(got) == 6
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)  # 17-digit output round-trips losslessly
+
+    def test_zero_t_divisor_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # at df = 0.001 most chi-square divisors underflow to 0; RuntimeWarning
+        # is an error under the suite's filter, so a warning fails this test too
+        f, out = tmp_path / "a.mat", tmp_path / "draws.arr"
+        write_matrix(np.eye(1), f)
+        code = run_cli("sample", "--kernel", "t", "--df", 0.001, "--factor", f,
+                       "--n", 2000, "--seed", 1, "--out", out)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: t kernel with df 0.001: draw ")
+        assert not out.exists()
 
     def test_singular_factor_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.mat"
@@ -386,6 +400,68 @@ class TestRadial:
         assert capsys.readouterr().out == expected
 
 
+class TestParserReuse:
+    """main() builds its parser on the first call and reuses it; every call
+    still starts from the parser's defaults."""
+
+    def test_factor_list_is_not_shared_between_calls(self, tmp_path, model_files, capsys):
+        f1, f2, _ = model_files
+        draws = tmp_path / "draws.arr"
+        write_arrays([np.zeros((2, 2))], draws)
+        assert run_cli("density", "--factor", f1, "--factor", f2, "--input", draws) == 0
+        capsys.readouterr()
+        assert run_cli("density", "--input", draws) == 2
+        assert "error: at least one --factor file is required" in capsys.readouterr().err
+
+    def test_df_does_not_carry_into_the_next_call(self, model_files, capsys):
+        f1, f2, _ = model_files
+        model = ["--factor", f1, "--factor", f2, "--n", 1]
+        assert run_cli("sample", "--kernel", "t", "--df", 5, *model) == 0
+        assert run_cli("sample", *model) == 0  # a carried --df would be rejected with the normal kernel
+        capsys.readouterr()
+        assert run_cli("sample", "--kernel", "t", *model) == 2
+        assert "error: --kernel t requires --df" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["sample", "--help"], ["density", "--help"], ["lstsq", "--help"],
+        ["verify", "--help"], ["radial", "--help"],
+        [], ["nonsense"], ["sample"], ["radial", "--n", "x"], ["density", "--kernel", "gauss"],
+    ])
+    def test_help_and_usage_errors_match_a_fresh_parser(self, capsys, argv):
+        def output(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        assert run_cli("radial", "--n", 2, "--rmax", 1, "--steps", 2) == 0
+        capsys.readouterr()
+        first, again = output(cli.main), output(cli.main)
+        fresh = output(cli._parser.__wrapped__().parse_args)
+        assert first == again == fresh
+        assert fresh[1] or fresh[2]
+
+    def test_many_calls_build_one_parser(self, monkeypatch, capsys):
+        built = []  # prog of every parser built, the subcommand parsers included
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        try:
+            assert run_cli("radial", "--n", 2, "--rmax", 1, "--steps", 2) == 0
+            one_build = len(built)
+            for _ in range(9):
+                assert run_cli("radial", "--n", 2, "--rmax", 1, "--steps", 2) == 0
+        finally:
+            cli._parser.cache_clear()  # later calls build with the real constructor again
+        assert built.count("arrayvariate") == 1
+        assert len(built) == one_build > 1
+
+
 class TestGoldenBytes:
     """CLI output bytes against SHA-256 digests recorded with the per-value
     ARRV1/MATV1 writer and per-token reader (tests/support.py keeps both), on
@@ -489,6 +565,34 @@ class TestEntryPoint:
     def test_import_leaves_scipy_stats_unloaded(self):
         # importing the CLI loads no scipy module at all, scipy.stats included
         assert self.scipy_probe() == [[], []]
+
+    # Counts the ArgumentParser objects built by importing the CLI, then by one
+    # main() call, in a fresh interpreter.
+    PARSER_PROBE = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from arrayvariate import cli\n"
+        "on_import = len(built)\n"
+        "code = cli.main(['radial', '--n', '2', '--rmax', '1', '--steps', '2', '--out', sys.argv[1]])\n"
+        "print(on_import, code, len(built))\n"
+    )
+
+    def test_import_builds_no_parser(self, tmp_path):
+        # the parser is built by the first main() call, so a cold start does not pay for it
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + self.PARSER_PROBE, str(tmp_path / "radial.txt")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        on_import, code, after_main = map(int, result.stdout.split())
+        assert on_import == 0
+        assert code == 0
+        assert after_main > 0
 
     def test_normal_sample_density_and_lstsq_load_no_scipy(self, tmp_path, model_files):
         f1, f2, mean = model_files

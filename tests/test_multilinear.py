@@ -9,6 +9,7 @@ from arrayvariate.errors import SingularMatrixError
 from arrayvariate.kronecker import inv_kron_chain
 from support import (
     composition_check,
+    lstsq_residual,
     monolinear_equiv_check,
     r_multiply_oracle,
     random_shape,
@@ -209,12 +210,12 @@ class TestLstsq:
             maps = [well_conditioned(gen, q, m) for q, m in zip(qs, dims)]
             y = gen.standard_normal(qs)
             xhat = ml.multilinear_lstsq(maps, y)
-            base = ml.lstsq_residual(maps, y, xhat)
+            base = lstsq_residual(maps, y, xhat)
             for _ in range(100):
                 delta = gen.standard_normal(xhat.shape)
                 for scale in (1e-3, 1e-1):
                     step = delta * (scale / np.sqrt(ac.sq_norm(delta)))
-                    assert base <= ml.lstsq_residual(maps, y, xhat + step) + 1e-15
+                    assert base <= lstsq_residual(maps, y, xhat + step) + 1e-15
 
     def test_gradient_vanishes_at_solution(self):
         gen = np.random.default_rng(50)
@@ -229,7 +230,7 @@ class TestLstsq:
             bump = np.zeros(xhat.shape)
             bump[idx] = step
             grad = (
-                ml.lstsq_residual(maps, y, xhat + bump) - ml.lstsq_residual(maps, y, xhat - bump)
+                lstsq_residual(maps, y, xhat + bump) - lstsq_residual(maps, y, xhat - bump)
             ) / (2 * step)
             worst = max(worst, abs(grad))
         assert worst <= 1e-5

@@ -190,3 +190,30 @@ class TestElliptical:
         model = dn.KroneckerModel(np.zeros(2), [np.eye(2)], kernel)
         with pytest.raises(NotImplementedError):
             sp.sample_elliptical(model, 3, sp.RandomStream(1))
+
+    def test_zero_t_divisor_raises_overflow(self):
+        # at df = 0.001 most chi-square draws underflow to exactly 0, so z / d
+        # would be inf; the suite's filter makes a RuntimeWarning fail this test
+        model = dn.KroneckerModel(np.zeros(1), [np.eye(1)], dn.Kernel.student_t(0.001))
+        with pytest.raises(OverflowError, match=r"^t kernel with df 0\.001: draw \d+ .* radius divisor is 0\)$"):
+            sp.sample_elliptical_rvecs(model, 2000, sp.RandomStream(1))
+
+    @pytest.mark.parametrize("divisor, factor, mean", [
+        pytest.param(1e-310, 1.0, 0.0, id="subnormal-divisor"),
+        pytest.param(1.0, 1e308, 0.0, id="factor-overflow"),
+        pytest.param(1.0, 1e307, 1.7e308, id="mean-overflow"),
+    ])
+    def test_overflowing_draw_raises(self, monkeypatch, divisor, factor, mean):
+        # each case overflows at a different step of a tile: z / d, the
+        # per-mode map, or the location shift
+        monkeypatch.setattr(dn.NormalKernel, "radius_divisor", lambda self, n, gen: np.full(n, divisor))
+        model = dn.KroneckerModel(np.full((2, 3), mean), [factor * np.eye(2), np.eye(3)], dn.Kernel.normal())
+        with pytest.raises(OverflowError, match=r"^normal kernel: draw \d+ is not representable in floating point \(it overflows\)$"):
+            sp.sample_elliptical_rvecs(model, 200, sp.RandomStream(5))
+
+    def test_finite_draws_pass_the_check(self):
+        # the largest draws that still fit are returned, not rejected
+        model = dn.KroneckerModel(np.zeros((2, 3)), [1e300 * np.eye(2), np.eye(3)], dn.Kernel.normal())
+        rows = sp.sample_elliptical_rvecs(model, 200, sp.RandomStream(5))
+        assert np.isfinite(rows).all()
+        assert np.abs(rows).max() > 1e300
