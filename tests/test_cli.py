@@ -569,7 +569,7 @@ class TestEntryPoint:
     # Counts the ArgumentParser objects built by importing the CLI, then by one
     # main() call, in a fresh interpreter.
     PARSER_PROBE = (
-        "import argparse\n"
+        "import argparse, sys\n"
         "built = []\n"
         "init = argparse.ArgumentParser.__init__\n"
         "def counting(self, *args, **kwargs):\n"
@@ -585,7 +585,7 @@ class TestEntryPoint:
     def test_import_builds_no_parser(self, tmp_path):
         # the parser is built by the first main() call, so a cold start does not pay for it
         result = subprocess.run(
-            [sys.executable, "-c", "import sys\n" + self.PARSER_PROBE, str(tmp_path / "radial.txt")],
+            [sys.executable, "-c", self.PARSER_PROBE, str(tmp_path / "radial.txt")],
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
