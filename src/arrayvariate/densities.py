@@ -99,8 +99,17 @@ class Kernel:
         raise NotImplementedError(f"no closed-form radial law for {self.name!r} kernels")
 
     def radius_divisor(self, n, gen):
-        """n divisors d of the Gaussian radius: a draw's radius is ``||z|| / d``."""
+        """n divisors d of the Gaussian radius: a draw's radius is ``||z|| / d``.
+
+        Every divisor is > 0: a kernel raises :meth:`unrepresentable` for the
+        first one that is not, before anything is divided by it.
+        """
         raise NotImplementedError(f"no sampler for {self.name!r} kernels")
+
+    def unrepresentable(self, k, reason):
+        """The ``OverflowError`` for draw k, which is not finite in floating point."""
+        df = "" if self.df is None else f" with df {self.df:g}"
+        return OverflowError(f"{self.name} kernel{df}: draw {k} is not representable in floating point ({reason})")
 
     def importance_proposal(self, mu, k, n, gen):
         """n draws from a proposal centered at ``mu`` with scale ``2 K``, and their log-densities."""
@@ -172,7 +181,11 @@ class StudentKernel(Kernel):
         return betainc(0.5 * k, 0.5 * self.df, t / (t + self.df))
 
     def radius_divisor(self, n, gen):
-        return np.sqrt(gen.chisquare(self.df, size=n) / self.df)
+        d = np.sqrt(gen.chisquare(self.df, size=n) / self.df)
+        if n and not d.min() > 0.0:  # at small df chi-square draws underflow to 0
+            k = int(np.argmin(d))
+            raise self.unrepresentable(k, f"its radius divisor is {d[k]:g}")
+        return d
 
     def importance_proposal(self, mu, k, n, gen):
         from scipy import stats  # deferred: importing scipy.stats takes most of a cold start

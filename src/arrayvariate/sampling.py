@@ -61,7 +61,8 @@ def sample_radii(kernel, m, n, stream) -> np.ndarray:
     """n radius draws of the kernel's spherical law in dimension m.
 
     Normal kernel: ``sqrt(chi2_m)``.  t kernel with df v: ``sqrt(chi2_m) / sqrt(w/v)``
-    with w a chi2_v draw, the two chi-square draws made in that order.
+    with w a chi2_v draw, the two chi-square draws made in that order.  Raises
+    ``OverflowError`` when a w draw underflowed to 0, as at very small df.
     """
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
@@ -76,20 +77,15 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
     drawn first, and ``z_k`` the k-th run of m standard normals drawn after
     them; a prefix of the draws therefore does not depend on n for the
     normal kernel.  Raises ``OverflowError`` when a draw is not finite in
-    floating point, such as a t draw whose chi-square divisor underflowed to 0
-    at small df: a zero divisor is rejected before any division, and every
-    other overflow when its tile is finished.
+    floating point: the kernel rejects a divisor of 0 (a t chi-square draw
+    that underflowed at small df) before any division, and every other
+    overflow is caught when its tile is finished.
     """
     n = int(n)
     if n < 0:
         raise ValueError(f"draw count must be >= 0, got {n}")
     gen = stream.generator
-    kernel = model.kernel
-    d = np.asarray(kernel.radius_divisor(n, gen))  # the normal kernel's is the scalar 1
-    divisors = np.broadcast_to(d, n)
-    if d.size and not d.min() > 0.0:
-        k = int(np.argmin(divisors))
-        raise _unrepresentable(kernel, k, f"its radius divisor is {divisors[k]:g}")
+    divisors = np.broadcast_to(model.kernel.radius_divisor(n, gen), n)
     rows = np.empty((n, model.m))
     mean = rvec(model.mean)
 
@@ -105,13 +101,8 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
             np.add(block.T, mean, out=done)  # the tile's draws replace its normals
             if not np.isfinite(done).all():
                 k = tile.start + int(np.argmin(np.isfinite(done).all(axis=1)))
-                raise _unrepresentable(kernel, k, "it overflows")
+                raise model.kernel.unrepresentable(k, "it overflows")
     return rows
-
-
-def _unrepresentable(kernel, k, reason):
-    df = "" if kernel.df is None else f" with df {kernel.df:g}"
-    return OverflowError(f"{kernel.name} kernel{df}: draw {k} is not representable in floating point ({reason})")
 
 
 def sample_elliptical(model, n, stream) -> list:

@@ -101,6 +101,12 @@ class TestRadius:
         for kernel in (dn.Kernel.normal(), dn.Kernel.student_t(2.5), dn.Kernel.cauchy()):
             assert np.all(sp.sample_radii(kernel, 3, 200, stream) >= 0.0)
 
+    def test_zero_t_divisor_raises_overflow(self):
+        # the kernel rejects a chi-square draw that underflowed to 0 before
+        # the radii are divided by it; a RuntimeWarning would fail this test
+        with pytest.raises(OverflowError, match=r"^t kernel with df 0\.001: draw \d+ .* radius divisor is 0\)$"):
+            sp.sample_radii(dn.Kernel.student_t(0.001), 1, 2000, sp.RandomStream(1))
+
     def test_custom_kernel_unsupported(self):
         kernel = dn.Kernel.custom(lambda t: np.exp(-t), lambda k: 0.0)
         with pytest.raises(NotImplementedError):

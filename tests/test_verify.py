@@ -123,6 +123,12 @@ class TestRadial:
             vf.radial_cdf(dn.Kernel.normal(), 1)(grid), 2 * stats.norm.cdf(grid) - 1, atol=1e-7
         )
 
+    def test_zero_t_divisor_raises_overflow(self):
+        # at df = 0.001 most chi-square divisors underflow to 0: the check
+        # raises instead of testing inf radii
+        with pytest.raises(OverflowError, match=r"^t kernel with df 0\.001: draw \d+ .* radius divisor is 0\)$"):
+            vf.check_radial(dn.Kernel.student_t(0.001), 1, 10_000, RandomStream(1))
+
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 12), df=st.floats(1.0, 30.0), r=st.floats(0.0, 25.0))
     def test_closed_form_cdf_matches_quadrature(self, m, df, r):
