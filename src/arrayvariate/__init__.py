@@ -9,13 +9,11 @@ laws, and a Monte Carlo verification harness.
 
 from .array_core import (
     distance,
-    dump_array,
     dump_arrays,
     fiber,
     linear_index,
     parse_arrays,
     read_array,
-    read_arrays,
     rvec,
     shape_size,
     sq_norm,

@@ -14,7 +14,7 @@ multi-index in the public API is 1-based; internal numpy indexing stays
 
 import bisect
 import math
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -124,7 +124,10 @@ def fiber(x, mode, fixed) -> np.ndarray:
 # :func:`write_records` and read by :func:`parse_records`.  Both handle values
 # a chunk of at most CHUNK at a time: the writer fills one FLOAT_FORMAT
 # template per chunk, and the reader converts a chunk's tokens with one
-# ``map(float, ...)``, so a value token is anything ``float()`` accepts.
+# ``map(float, ...)``, so a value token is anything ``float()`` accepts.  When
+# m <= CHUNK, the reader takes the records that repeat the previous record's
+# lines (a writer's run of one shape) up to CHUNK // m at a time, and returns
+# each run of same-shape records as one (k, m) block of rows.
 # ---------------------------------------------------------------------------
 
 # Values per `%` template when writing and tokens per bulk conversion when
@@ -177,28 +180,25 @@ def dump_arrays(arrays) -> str:
     return "".join(out)
 
 
-def dump_array(x) -> str:
-    """Render one array in ARRV1 text form."""
-    return dump_arrays([x])
-
-
 def write_arrays(arrays, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(dump_arrays(arrays))
 
 
 def parse_records(text, source, header, order=None) -> list:
-    """Parse zero or more ``header`` records from ``text`` into ``(dims, values)`` pairs.
+    """Parse zero or more ``header`` records from ``text`` into ``(dims, rows)`` pairs.
 
-    ``values`` holds a record's reals in file order.  With ``order`` set, every
-    dims line must list exactly that many dimensions.  Raises
-    :class:`FormatError` with ``source:line:`` at the first fault in file
-    order, including a nan or inf value, which counts as found once its
-    record has been read in full.
+    Each run of consecutive records of one shape gives one pair: ``rows`` is
+    the ``(k, m)`` block of their values, one record per row, in file order.
+    With ``order`` set, every dims line must list exactly that many
+    dimensions.  Raises :class:`FormatError` with ``source:line:`` at the
+    first fault in file order, including a nan or inf value, which counts as
+    found once its record has been read in full.
     """
     lines = text.splitlines()
     n_lines = len(lines)
-    shapes, ends = [], []  # dims and value-stream end of every record read in full
+    runs = []  # [dims, record count] of every run of same-shape records read in full
+    ends = []  # value-stream end of every record read in full
     first_lines = []  # first data line of every record begun; records are contiguous in the stream
     pieces, pending = [], []  # converted chunks of the value stream; tokens not yet converted
     converted = 0
@@ -257,11 +257,41 @@ def parse_records(text, source, header, order=None) -> list:
 
     lineno = 0
     dims_text = None  # the last dims line read: a run of same-shape records repeats it
+    # Run step: the header line of the last record read (None when m > CHUNK),
+    # the token count of each of its data lines, and the number of records the
+    # next step tries to take, which doubles after each step up to CHUNK // m
+    # and drops to 1 after the line walk.
+    last, counts, take = None, [], 1
     while True:
         while lineno < n_lines and not lines[lineno].strip():
             lineno += 1
         if lineno >= n_lines:
             break
+        if last is not None:
+            # Take the next records in one step when each repeats the last
+            # record's lines: its header, dims and separator lines verbatim,
+            # and its token count on every data line.  Anything else is left
+            # to the line walk below, which reports the fault.
+            period = lineno - last
+            fixed = [(j, lines[last + j]) for j in (0, 1, *range(2 + len(counts), period))]
+            k = min(take, (n_lines - lineno) // period)
+            seg = lines[lineno:lineno + k * period]
+            if k and all(seg[j::period] == [line] * k for j, line in fixed):
+                columns = [seg[j::period] for j in range(2, 2 + len(counts))]
+                tokens = list(map(str.split, chain.from_iterable(zip(*columns))))
+                if list(map(len, tokens)) == counts * k:
+                    start = converted + len(pending)
+                    first_lines += range(lineno + 2, lineno + k * period, period)
+                    ends += range(start + m, start + k * m + 1, m)
+                    pending += chain.from_iterable(tokens)
+                    runs[-1][1] += k
+                    last = lineno + (k - 1) * period
+                    lineno += k * period
+                    take = min(2 * take, CHUNK // m)
+                    if len(pending) >= CHUNK:
+                        flush()
+                    continue
+        head = lineno
         got = lines[lineno].strip()
         if got != header:
             fail(lineno + 1, f"expected {header} header, got {got!r}")
@@ -283,6 +313,7 @@ def parse_records(text, source, header, order=None) -> list:
             dims_text, m = lines[lineno], shape_size(dims)
         lineno += 1
         first_lines.append(lineno)
+        counts = []
         read = 0
         while read < m:
             if lineno >= n_lines:
@@ -294,16 +325,26 @@ def parse_records(text, source, header, order=None) -> list:
                 pending += tokens[:m - read]
                 fail(lineno + 1, f"extra token {tokens[m - read]!r} after {m} values")
             pending += tokens
+            counts.append(len(tokens))
             read += len(tokens)
             lineno += 1
             if len(pending) >= CHUNK:
                 flush()
-        shapes.append(dims)
+        if runs and runs[-1][0] == dims:
+            runs[-1][1] += 1
+        else:
+            runs.append([dims, 1])
         ends.append(converted + len(pending))
+        last, take = (head if m <= CHUNK else None), 1
     flush()
     lines.clear()  # free the text's lines before the value stream is joined
     stream = pieces[0] if len(pieces) == 1 else np.concatenate(pieces or [np.empty(0)])
-    return [(dims, stream[start:end]) for dims, start, end in zip(shapes, [0] + ends, ends)]
+    blocks, start = [], 0
+    for dims, k in runs:
+        end = start + k * math.prod(dims)
+        blocks.append((dims, stream[start:end].reshape(k, -1)))
+        start = end
+    return blocks
 
 
 def parse_arrays(text, source="<string>") -> list:
@@ -311,7 +352,7 @@ def parse_arrays(text, source="<string>") -> list:
 
     Raises :class:`FormatError` with ``source:line:`` on any malformed input.
     """
-    return [unrvec(values, dims) for dims, values in parse_records(text, source, "ARRV1")]
+    return [unrvec(row, dims) for dims, rows in parse_records(text, source, "ARRV1") for row in rows]
 
 
 def read_records(path, header, order=None) -> list:
@@ -321,15 +362,11 @@ def read_records(path, header, order=None) -> list:
     return parse_records(text, str(path), header, order)
 
 
-def read_arrays(path) -> list:
-    with open(path) as fh:
-        text = fh.read()
-    return parse_arrays(text, source=str(path))
-
-
 def read_array(path) -> np.ndarray:
     """Read a file expected to hold exactly one ARRV1 array."""
-    arrays = read_arrays(path)
-    if len(arrays) != 1:
-        raise FormatError(f"{path}:1: expected exactly one array, found {len(arrays)}")
-    return arrays[0]
+    runs = read_records(path, "ARRV1")
+    count = sum(len(rows) for _, rows in runs)
+    if count != 1:
+        raise FormatError(f"{path}:1: expected exactly one array, found {count}")
+    ((dims, rows),) = runs
+    return unrvec(rows[0], dims)

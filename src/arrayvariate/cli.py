@@ -91,12 +91,14 @@ def cmd_sample(args) -> int:
 
 def cmd_density(args) -> int:
     model = _build_model(args)
-    records = [record for path in args.input for record in read_records(path, "ARRV1")]
-    for idx, (dims, _) in enumerate(records, start=1):
+    # a run of same-shape ARRV1 records is a block of rvec'd arrays, one per row
+    runs = [run for path in args.input for run in read_records(path, "ARRV1")]
+    count = 0
+    for dims, block in runs:
         if dims != model.shape:
-            raise UsageError(f"array {idx}: shape {dims} does not match model shape {model.shape}")
-    # an ARRV1 record's values are its array's rvec: stacked, they are the rows
-    rows = np.array([values for _, values in records]).reshape(len(records), model.m)
+            raise UsageError(f"array {count + 1}: shape {dims} does not match model shape {model.shape}")
+        count += len(block)
+    rows = runs[0][1] if len(runs) == 1 else np.concatenate([block for _, block in runs] or [np.empty((0, model.m))])
     values = logpdf_elliptical_rvecs(model, rows)
     with _output(args.out) as write:
         write(f"{FLOAT_FORMAT}\n" * values.size % tuple(values.tolist()))

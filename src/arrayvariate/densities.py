@@ -25,6 +25,7 @@ from .multilinear import map_tiles, r_multiply
 
 LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
+LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 class Kernel:
@@ -128,6 +129,9 @@ class NormalKernel(Kernel):
     def radial_cdf(self, r, k):
         from scipy.special import gammainc
 
+        # the CDF is 1 at r = 1e150 in any dimension a float can hold, so
+        # clipping there keeps r * r from overflowing without moving a value
+        r = np.minimum(r, 1e150)
         return gammainc(0.5 * k, 0.5 * r * r)
 
     def radius_divisor(self, n, gen):
@@ -175,10 +179,32 @@ class StudentKernel(Kernel):
         )
 
     def radial_cdf(self, r, k):
-        from scipy.special import betainc
+        # The CDF is I_x(k/2, df/2) with x = t / (t + df) and t = r^2.  Past
+        # x = 1/2 it is 1 - I_(1-x)(df/2, k/2), which keeps the upper tail that
+        # x itself rounds away at small df.  That difference loses digits where
+        # it is small, so below 0.01 betaincc gives it directly (betaincc is
+        # about eight times slower than betainc).  x and 1 - x come from
+        # log(df / t), so t is never formed, and where one of them underflows
+        # the first term of its series is exact to double precision.
+        from scipy.special import betainc, betaincc, betaln
 
-        t = r * r
-        return betainc(0.5 * k, 0.5 * self.df, t / (t + self.df))
+        a, b = 0.5 * self.df, 0.5 * k
+        with np.errstate(divide="ignore"):
+            log_s = math.log(self.df) - 2.0 * np.log(np.asarray(r, dtype=float))  # +inf at r = 0
+        lower = log_s >= 0.0  # x <= 1/2
+        s = np.exp(-np.abs(log_s))  # t / df or df / t, whichever is <= 1
+        z = s / (1.0 + s)  # x or 1 - x, whichever is <= 1/2
+        out = np.empty(z.shape)
+        out[lower] = betainc(b, a, z[lower])
+        out[~lower] = 1.0 - betainc(a, b, z[~lower])
+        small = ~lower & (out < 0.01)
+        out[small] = betaincc(a, b, z[small])
+        far = np.abs(log_s) > -LOG_TINY
+        if far.any():
+            log_s, lower = log_s[far], lower[far]
+            lead = np.where(lower, -b * log_s - math.log(b), a * log_s - math.log(a)) - betaln(a, b)
+            out[far] = np.where(lower, np.exp(lead), -np.expm1(lead))
+        return out
 
     def radius_divisor(self, n, gen):
         d = np.sqrt(gen.chisquare(self.df, size=n) / self.df)
@@ -254,6 +280,11 @@ class KroneckerModel:
 
     def __init__(self, mean, factors, kernel):
         mean = as_array(mean)
+        finite = np.isfinite(rvec(mean))
+        if not finite.all():  # name the first bad cell in stacked order
+            at = int(np.argmin(finite))
+            idx = tuple(int(j) + 1 for j in np.unravel_index(at, mean.shape, order="F"))
+            raise ValueError(f"mean cell {idx} is not finite ({float(rvec(mean)[at])!r})")
         factors = [linalg.as_matrix(f) for f in factors]
         if len(factors) != mean.ndim:
             raise ValueError(f"{len(factors)} factors for a mean array of order {mean.ndim}")

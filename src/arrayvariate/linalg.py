@@ -147,11 +147,12 @@ def write_matrix(a, path) -> None:
 
 def parse_matrix(text, source="<string>") -> np.ndarray:
     """Parse one MATV1 matrix; :class:`FormatError` names source and line."""
-    records = parse_records(text, source, "MATV1", order=2)
-    if len(records) != 1:
-        raise FormatError(f"{source}:1: expected exactly one matrix, found {len(records)}")
-    dims, values = records[0]
-    return values.reshape(dims)
+    runs = parse_records(text, source, "MATV1", order=2)
+    count = sum(len(rows) for _, rows in runs)
+    if count != 1:
+        raise FormatError(f"{source}:1: expected exactly one matrix, found {count}")
+    ((dims, rows),) = runs
+    return rows.reshape(dims)
 
 
 def read_matrix(path) -> np.ndarray:

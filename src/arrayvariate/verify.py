@@ -86,7 +86,8 @@ def check_normalization(model, n, stream) -> McReport:
         stderr=stderr,
         target=1.0,
         statistic=z_score,
-        passed=abs(z_score) <= MOMENT_Z_LIMIT,
+        # a nan weight makes stderr > 0 false and z_score 0, so z_score alone cannot fail it
+        passed=all(map(math.isfinite, (estimate, stderr, z_score))) and abs(z_score) <= MOMENT_Z_LIMIT,
         n=n,
         seed=stream.seed,
     )

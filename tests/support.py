@@ -202,6 +202,22 @@ def lstsq_residual(maps, y, x) -> float:
     return sq_norm(as_array(y) - r_multiply(maps, x))
 
 
+def dump_array(x) -> str:
+    """One array in ARRV1 text form."""
+    from arrayvariate.array_core import dump_arrays
+
+    return dump_arrays([x])
+
+
+def read_arrays(path) -> list:
+    """Every ARRV1 array in the file at ``path``."""
+    from arrayvariate.array_core import parse_arrays
+
+    with open(path) as fh:
+        text = fh.read()
+    return parse_arrays(text, source=str(path))
+
+
 def apply_modes_untiled(maps, rows, shape) -> np.ndarray:
     from arrayvariate.linalg import as_matrix
 

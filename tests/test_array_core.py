@@ -5,6 +5,7 @@ import pytest
 
 from arrayvariate import array_core as ac
 from arrayvariate.errors import FormatError
+from support import dump_array, read_arrays
 
 # (X)11=1, (X)21=3, (X)12=2, (X)22=4
 X22 = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -168,7 +169,7 @@ class TestFiber:
 
 class TestArrv1:
     def test_round_trip_single(self):
-        text = ac.dump_array(X22)
+        text = dump_array(X22)
         assert text.splitlines()[0] == "ARRV1"
         assert text.splitlines()[1] == "dims 2 2"
         (back,) = ac.parse_arrays(text)
@@ -177,7 +178,7 @@ class TestArrv1:
     def test_round_trip_precision(self):
         gen = np.random.default_rng(9)
         x = gen.standard_normal((3, 2, 4)) * 1e-7
-        (back,) = ac.parse_arrays(ac.dump_array(x))
+        (back,) = ac.parse_arrays(dump_array(x))
         np.testing.assert_array_equal(back, x)
 
     def test_multiple_arrays_blank_separated(self):
@@ -217,7 +218,7 @@ class TestArrv1:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "a.arr"
         ac.write_arrays([X22, X22 * 2], path)
-        back = ac.read_arrays(path)
+        back = read_arrays(path)
         assert len(back) == 2
         np.testing.assert_array_equal(back[1], X22 * 2)
 

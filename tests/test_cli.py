@@ -12,7 +12,7 @@ from arrayvariate import cli, linalg
 from arrayvariate.array_core import parse_arrays, write_arrays
 from arrayvariate.densities import Kernel, radial_pdf
 from arrayvariate.linalg import write_matrix
-from support import SCIPY_LINALG, well_conditioned
+from support import SCIPY_LINALG, dump_array, read_arrays, well_conditioned
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ class TestSample:
         out = tmp_path / "draws.arr"
         assert run_cli("sample", "--factor", f1, "--factor", f2, "--mean", mean,
                        "--n", 6, "--seed", 17, "--out", out) == 0
-        from arrayvariate import Kernel, KroneckerModel, RandomStream, read_arrays, sample_elliptical
+        from arrayvariate import Kernel, KroneckerModel, RandomStream, sample_elliptical
 
         model = KroneckerModel(np.zeros((2, 2)), [np.eye(2), np.eye(2)], Kernel.normal())
         expected = sample_elliptical(model, 6, RandomStream(17))
@@ -209,6 +209,40 @@ class TestDensity:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "array 2" in captured.err
+
+    def test_shape_mismatch_index_counts_every_earlier_run_and_file(self, tmp_path, model_files, capsys):
+        f1, f2, _ = model_files
+        first, second = tmp_path / "a.arr", tmp_path / "b.arr"
+        write_arrays([np.zeros((2, 2))] * 3 + [np.zeros(4)] * 2 + [np.zeros((2, 2))] * 2, first)
+        assert run_cli("density", "--factor", f1, "--factor", f2, "--input", first) == 2
+        assert capsys.readouterr().err.splitlines()[0] == \
+            "error: array 4: shape (4,) does not match model shape (2, 2)"
+        write_arrays([np.zeros((2, 2))] * 4 + [np.zeros((1, 4))], second)
+        assert run_cli("density", "--factor", f1, "--factor", f2, "--input", second, "--input", second) == 2
+        assert capsys.readouterr().err.splitlines()[0] == \
+            "error: array 5: shape (1, 4) does not match model shape (2, 2)"
+        write_arrays([np.zeros((2, 2))] * 6, second)
+        assert run_cli("density", "--factor", f1, "--factor", f2, "--input", second, "--input", first) == 2
+        assert capsys.readouterr().err.splitlines()[0] == \
+            "error: array 10: shape (4,) does not match model shape (2, 2)"
+
+    def test_runs_and_files_evaluated_in_order(self, tmp_path, capsys):
+        from arrayvariate.densities import Kernel, KroneckerModel, logpdf_elliptical_rvecs
+
+        gen = np.random.default_rng(303)
+        f1, f2 = tmp_path / "a1.mat", tmp_path / "a2.mat"
+        write_matrix(well_conditioned(gen, 2), f1)
+        write_matrix(well_conditioned(gen, 3), f2)
+        rows = gen.standard_normal((40, 6))
+        one, two = tmp_path / "one.arr", tmp_path / "two.arr"
+        write_arrays([r.reshape((2, 3), order="F") for r in rows[:25]], one)
+        # dims lines spelled two ways: the reader's run steps break, its block does not
+        text = "".join(dump_array(r.reshape((2, 3), order="F")) + "\n" for r in rows[25:])
+        two.write_text(text.replace("\nARRV1\ndims 2 3\n", "\nARRV1\ndims 2  3\n", 3))
+        assert run_cli("density", "--factor", f1, "--factor", f2, "--input", one, "--input", two) == 0
+        values = np.array(capsys.readouterr().out.split(), float)
+        model = KroneckerModel(np.zeros((2, 3)), [linalg.read_matrix(f1), linalg.read_matrix(f2)], Kernel.normal())
+        np.testing.assert_array_equal(values, logpdf_elliptical_rvecs(model, rows))
 
     def test_input_without_arrays_prints_nothing(self, tmp_path, model_files, capsys):
         f1, f2, _ = model_files
@@ -347,6 +381,26 @@ class TestVerify:
         names = [line.split()[0] for line in captured.out.splitlines()]
         assert names == ["normalization-t2-2x2", "radial-t2-m4"]
         assert captured.err.splitlines() == ["note: skipped covariance-t2-2x2: df <= 2"]
+
+    def test_t_small_df_radial_check_passes(self, tmp_path, capsys):
+        # x = t/(t+df) rounds to 1 in the upper tail at df 0.2; the CDF keeps that tail
+        f = tmp_path / "one.mat"
+        write_matrix(np.eye(1), f)
+        assert run_cli("verify", "--kernel", "t", "--df", 0.2, "--factor", f,
+                       "--n", 10_000, "--seed", 1) == 0
+        records = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [(r[0], r[5]) for r in records] == [("normalization-t0.2-1", "pass"), ("radial-t0.2-m1", "pass")]
+
+    def test_t5_2x3_prints_pass_records(self, tmp_path, capsys):
+        gen = np.random.default_rng(306)
+        paths = [tmp_path / "a1.mat", tmp_path / "a2.mat"]
+        for path, d in zip(paths, (2, 3)):
+            write_matrix(well_conditioned(gen, d), path)
+        assert run_cli("verify", "--kernel", "t", "--df", 5, "--factor", paths[0], "--factor", paths[1],
+                       "--n", 20_000, "--seed", 1) == 0
+        records = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [(r[0], r[5]) for r in records] == [
+            ("normalization-t5-2x3", "pass"), ("covariance-t5-2x3", "pass"), ("radial-t5-m6", "pass")]
 
     def test_deterministic_output(self, tmp_path, model_files):
         f1, f2, _ = model_files

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from arrayvariate import array_core, linalg
 from arrayvariate.array_core import unrvec
 from arrayvariate.errors import FormatError
-from support import dump_arrays_oracle, dump_matrix_oracle, dump_record_oracle, parse_records_oracle
+from support import dump_array, dump_arrays_oracle, dump_matrix_oracle, dump_record_oracle, parse_records_oracle
 
 CHUNKS = st.sampled_from([1, 2, 3, 5, array_core.CHUNK])
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -59,7 +59,7 @@ class TestWriter:
         with chunk_size(chunk):
             assert array_core.dump_arrays(arrays) == dump_arrays_oracle(arrays)
             for a in arrays:
-                assert array_core.dump_array(a) == dump_arrays_oracle([a])
+                assert dump_array(a) == dump_arrays_oracle([a])
 
     @settings(max_examples=200)
     @given(SHAPES, st.integers(0, 6), st.data(), CHUNKS)
@@ -80,16 +80,16 @@ class TestWriter:
 
     def test_special_values_and_empty_inputs(self):
         x = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [-1.7976931348623157e308, 2.225073858507201e-308, 1.0]])
-        assert array_core.dump_array(x) == dump_arrays_oracle([x])
+        assert dump_array(x) == dump_arrays_oracle([x])
         assert linalg.dump_matrix(x) == dump_matrix_oracle(x)
         assert array_core.dump_arrays([]) == dump_arrays_oracle([]) == ""
         pieces = []
         array_core.write_records("ARRV1", (2, 3), np.empty((0, 6)), 2, pieces.append)
         assert pieces == []
         # zero-size shapes: written as the reference writer writes them, or rejected as it rejects them
-        assert array_core.dump_array(np.zeros((3, 0))) == dump_arrays_oracle([np.zeros((3, 0))])
+        assert dump_array(np.zeros((3, 0))) == dump_arrays_oracle([np.zeros((3, 0))])
         assert linalg.dump_matrix(np.zeros((0, 3))) == dump_matrix_oracle(np.zeros((0, 3)))
-        for rejects in (lambda: dump_arrays_oracle([np.zeros((0, 3))]), lambda: array_core.dump_array(np.zeros((0, 3))),
+        for rejects in (lambda: dump_arrays_oracle([np.zeros((0, 3))]), lambda: dump_array(np.zeros((0, 3))),
                         lambda: dump_matrix_oracle(np.zeros((3, 0))), lambda: linalg.dump_matrix(np.zeros((3, 0)))):
             with pytest.raises(ValueError):
                 rejects()
@@ -108,10 +108,11 @@ MUTATIONS = st.sampled_from(["drop", "extra", "replace", "drop", "extra", "repla
 
 
 @st.composite
-def record_texts(draw, header):
+def record_texts(draw, header, runs=False):
     """A text written by the oracle writer, then 0-3 edits: dropped or extra
     tokens, bad, nan or inf tokens, blank lines, truncation, wrong headers and
-    wrong or reordered dims."""
+    wrong or reordered dims.  With ``runs``, 2-10 records, each of the previous
+    record's shape four times in five, so that most are read in run steps."""
     if header == "MATV1":
         shapes = st.tuples(st.integers(1, 3), st.integers(1, 3))
         per_line = 1
@@ -119,8 +120,9 @@ def record_texts(draw, header):
         shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
         per_line = 0
     parts = []
-    for _ in range(draw(st.integers(0, 3))):
-        shape = draw(shapes)
+    for _ in range(draw(st.integers(2, 10) if runs else st.integers(0, 3))):
+        if not (runs and parts and draw(st.integers(0, 4))):
+            shape = draw(shapes)
         values = np.array(draw(st.lists(VALUES, min_size=math.prod(shape), max_size=math.prod(shape))))
         parts.append(dump_record_oracle(header, shape, values, shape[per_line]))
     lines = "\n".join(parts).split("\n")
@@ -163,10 +165,23 @@ def record_texts(draw, header):
 
 
 def outcome(parse, text, header, order):
+    """One ``(dims, value bytes)`` pair per record, or the FormatError message.
+
+    The reader returns a ``(k, m)`` block per run of same-shape records and the
+    oracle one vector per record, so both are flattened to records here.
+    """
     try:
-        return [(dims, values.tobytes()) for dims, values in parse(text, "f.txt", header, order)]
+        runs = parse(text, "f.txt", header, order)
     except FormatError as exc:
         return f"FormatError: {exc}"
+    return [(dims, row.tobytes()) for dims, rows in runs for row in np.reshape(rows, (-1, math.prod(dims)))]
+
+
+def assert_maximal_runs(runs):
+    """Each pair is a (k, m) block of one shape, and neighbouring pairs differ in shape."""
+    for i, (dims, rows) in enumerate(runs):
+        assert rows.ndim == 2 and rows.shape[0] >= 1 and rows.shape[1] == math.prod(dims)
+        assert i == 0 or runs[i - 1][0] != dims
 
 
 class TestReader:
@@ -200,6 +215,21 @@ class TestReader:
                 assert outcome(array_core.parse_records, text, "ARRV1", None) == \
                     outcome(parse_records_oracle, text, "ARRV1", None)
 
+    @settings(max_examples=400)
+    @given(st.sampled_from(["ARRV1", "MATV1"]).flatmap(lambda h: st.tuples(st.just(h), record_texts(h, runs=True))),
+           CHUNKS)
+    def test_runs_same_records_or_same_message_as_oracle(self, case, chunk):
+        header, text = case
+        order = 2 if header == "MATV1" else None
+        with chunk_size(chunk):
+            assert outcome(array_core.parse_records, text, header, order) == \
+                outcome(parse_records_oracle, text, header, order)
+            try:
+                runs = array_core.parse_records(text, "f.txt", header, order)
+            except FormatError:
+                return
+        assert_maximal_runs(runs)
+
     @settings(max_examples=100)
     @given(array_lists(max_size=4), CHUNKS)
     def test_round_trip(self, arrays, chunk):
@@ -208,3 +238,133 @@ class TestReader:
         assert [a.shape for a in back] == [a.shape for a in arrays]
         for a, b in zip(arrays, back):
             assert a.tobytes() == b.tobytes()
+
+
+# A run of identical records in the writer's layout: 2x3 arrays, three data
+# lines of two values each, one blank line between records.
+RUN_SHAPE, RUN_LENGTH = (2, 3), 9
+RECORD_LINES = 6  # header, dims, three data lines, separator
+
+
+def run_lines():
+    arrays = [np.arange(6.0).reshape(RUN_SHAPE) + 10 * i for i in range(RUN_LENGTH)]
+    return array_core.dump_arrays(arrays).split("\n")
+
+
+def edit_record(lines, i, fault):
+    """Apply ``fault`` to record ``i`` of :func:`run_lines`."""
+    at = i * RECORD_LINES  # its header line
+    data = at + 2
+    if fault == "bad_token":
+        lines[data + 1] = lines[data + 1].split()[0] + " x"
+    elif fault == "nan":
+        lines[data + 1] = "nan " + lines[data + 1].split()[1]
+    elif fault == "extra_token":
+        lines[data + 2] += " 7"
+    elif fault == "blank_first_data_line":
+        lines.insert(data, "")
+    elif fault == "blank_first_data_line_same_lines":
+        lines[data:data + 3] = ["", " ".join(lines[data:data + 2]), lines[data + 2]]
+    elif fault == "extra_then_missing":
+        # the next record gives the token back, so the run's token total is unchanged
+        lines[data + 2] += " 7"
+        nxt = (i + 1) % RUN_LENGTH * RECORD_LINES + 4
+        lines[nxt] = lines[nxt].split()[0]
+    elif fault == "missing_value":
+        lines[data + 2] = lines[data + 2].split()[0]
+    elif fault == "truncated":
+        del lines[data + 2:]
+    elif fault == "dims_other_shape":
+        lines[at + 1] = "dims 3 2"
+    elif fault == "dims_other_order":
+        lines[at + 1] = "dims 6"
+    elif fault == "dims_spacing":
+        lines[at + 1] = "dims 2  3"
+    elif fault == "dims_invalid":
+        lines[at + 1] = "dims 2 x"
+    elif fault == "header_spaces":
+        lines[at] = " ARRV1 "
+    elif fault == "header_wrong":
+        lines[at] = "ARRV2"
+    elif fault == "separator_spaces":
+        lines[at + 5] = "  "
+    elif fault == "separator_doubled":
+        lines.insert(at + 5, "")
+    elif fault == "line_split":
+        first, second = lines[data].split()
+        lines[data:data + 1] = [first, second]
+    elif fault == "blank_mid_data_line":
+        lines.insert(data + 1, "\t")
+    elif fault == "crlf":
+        lines[data] += "\r"
+    return lines
+
+
+RUN_FAULTS = ["bad_token", "nan", "extra_token", "blank_first_data_line", "blank_first_data_line_same_lines",
+              "extra_then_missing", "missing_value", "truncated",
+              "dims_other_shape", "dims_other_order", "dims_spacing", "dims_invalid", "header_spaces",
+              "header_wrong", "separator_spaces", "separator_doubled", "line_split", "blank_mid_data_line",
+              "crlf"]
+
+
+class TestRuns:
+    """The reader takes runs of records that repeat the last record's lines in
+    one step; every other layout goes through the line walk.  These edit one
+    record of a run (at every position, so the first, second and last of each
+    run step) and compare the records or the message with the oracle's."""
+
+    @pytest.mark.parametrize("fault", RUN_FAULTS)
+    def test_one_edited_record_matches_oracle(self, fault):
+        for i in range(RUN_LENGTH):
+            text = "\n".join(edit_record(run_lines(), i, fault))
+            expected = outcome(parse_records_oracle, text, "ARRV1", None)
+            for chunk in (1, 2, 3, array_core.CHUNK):
+                with chunk_size(chunk):
+                    assert outcome(array_core.parse_records, text, "ARRV1", None) == expected, (i, chunk)
+                    if not isinstance(expected, str):
+                        assert_maximal_runs(array_core.parse_records(text, "f.txt", "ARRV1"))
+
+    def test_two_faults_report_the_first(self):
+        # a nan in record 3 comes before an extra token in record 7, which comes before a bad header
+        lines = edit_record(edit_record(run_lines(), 7, "extra_token"), 3, "nan")
+        lines[-1:] = ["", "ARRV2"]
+        text = "\n".join(lines)
+        for chunk in (1, 2, 3, array_core.CHUNK):
+            with chunk_size(chunk):
+                assert outcome(array_core.parse_records, text, "ARRV1", None) == \
+                    outcome(parse_records_oracle, text, "ARRV1", None) == "FormatError: f.txt:22: non-finite value 'nan'"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7, 4096])
+    def test_identical_records_are_one_block(self, chunk):
+        # m = 6: runs are taken from CHUNK = 6 up, records walked one by one below it
+        arrays = [np.arange(6.0).reshape(RUN_SHAPE) * (i + 1) for i in range(50)]
+        with chunk_size(chunk):
+            ((dims, rows),) = array_core.parse_records(array_core.dump_arrays(arrays), "f.txt", "ARRV1")
+        assert dims == RUN_SHAPE
+        assert rows.shape == (50, 6)
+        assert rows.tobytes() == np.stack([a.ravel(order="F") for a in arrays]).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+    def test_alternating_shapes_are_one_block_each(self, chunk):
+        shapes = [(2, 3), (3, 2), (6,), (2, 3)] * 4
+        arrays = [np.full(shape, float(i)) for i, shape in enumerate(shapes)]
+        text = array_core.dump_arrays(arrays)
+        with chunk_size(chunk):
+            runs = array_core.parse_records(text, "f.txt", "ARRV1")
+            assert outcome(array_core.parse_records, text, "ARRV1", None) == \
+                outcome(parse_records_oracle, text, "ARRV1", None)
+        # the writer's (2, 3) at the end of one group and the start of the next are one run
+        assert [(dims, len(rows)) for dims, rows in runs] == \
+            [((2, 3), 1), ((3, 2), 1), ((6,), 1)] + [((2, 3), 2), ((3, 2), 1), ((6,), 1)] * 3 + [((2, 3), 1)]
+
+    def test_runs_of_runs_keep_file_order(self):
+        shapes = [(2, 3)] * 5 + [(3, 2)] * 4 + [(2, 3)] * 6
+        arrays = [np.full(shape, float(i)) for i, shape in enumerate(shapes)]
+        runs = array_core.parse_records(array_core.dump_arrays(arrays), "f.txt", "ARRV1")
+        assert [(dims, len(rows)) for dims, rows in runs] == [((2, 3), 5), ((3, 2), 4), ((2, 3), 6)]
+        assert np.concatenate([rows[:, 0] for _, rows in runs]).tolist() == list(range(15))
+
+    def test_matrix_count_counts_records_in_a_run(self):
+        text = linalg.dump_matrix(np.eye(2)) + "\n" + linalg.dump_matrix(np.eye(2))
+        with pytest.raises(FormatError, match=r"^m\.mat:1: expected exactly one matrix, found 2$"):
+            linalg.parse_matrix(text, "m.mat")

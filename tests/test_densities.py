@@ -104,6 +104,29 @@ class TestRadialPdf:
         assert np.trapezoid(pdf, rs) == pytest.approx(1.0, abs=1e-6)
 
 
+class TestRadialCdf:
+    # references from mpmath at 40 digits: 1 - I_(df/(t+df))(df/2, k/2) with t = r^2
+    @pytest.mark.parametrize("df, k, r, expected", [
+        (0.2, 1, 1e8, 0.98111407953799959),  # x = t/(t+df) rounds to 1 here
+        (0.01, 6, 1e200, 0.99015421284421759),  # 1 - x underflows: the series term
+        (0.01, 1, 1e300, 0.99902947342848826),
+        (0.001, 2, 1e300, 0.50054081979175169),
+    ])
+    def test_upper_tail_at_small_df(self, df, k, r, expected):
+        assert dn.Kernel.student_t(df).radial_cdf(np.array(r), k) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("kernel", [dn.Kernel.normal(), dn.Kernel.student_t(0.01),
+                                        dn.Kernel.student_t(0.2), dn.Kernel.student_t(5)])
+    @pytest.mark.parametrize("k", [1, 3, 512])
+    def test_finite_and_monotone_up_to_1e300(self, kernel, k):
+        # RuntimeWarning is an error in this suite, so an overflowing r * r fails here
+        rs = np.concatenate(([0.0], np.logspace(-300, 300, 6001)))
+        cdf = kernel.radial_cdf(rs, k)
+        assert np.all(np.isfinite(cdf))
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert cdf[0] == 0.0 and 0.0 <= cdf.min() and cdf.max() <= 1.0
+
+
 class TestLogJacobian:
     def test_identity_factors(self):
         assert dn.log_jacobian([np.eye(2), np.eye(3)]) == 0.0
@@ -316,6 +339,14 @@ class TestModelValidation:
         # the pivot test is relative, so 1e-310 * I factors; its inverse is not finite
         with pytest.raises(SingularMatrixError, match="mode 2: .*not finite"):
             dn.KroneckerModel(np.zeros((2, 2)), [np.eye(2), 1e-310 * np.eye(2)], dn.Kernel.normal())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_names_first_cell(self, bad):
+        mean = np.zeros((2, 3))
+        mean[1, 2] = np.nan  # stacked position 6
+        mean[0, 2] = bad  # stacked position 5: the first bad cell
+        with pytest.raises(ValueError, match=rf"^mean cell \(1, 3\) is not finite \({bad!r}\)$"):
+            dn.KroneckerModel(mean, [np.eye(2), np.eye(3)], dn.Kernel.normal())
 
     @pytest.mark.parametrize("dims", [(2, 3), (8, 8, 8), (32, 32, 16)])
     def test_one_pivot_check_per_factor(self, monkeypatch, dims):

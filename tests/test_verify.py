@@ -57,6 +57,16 @@ class TestNormalization:
                                         100_000, RandomStream(206))
         assert report.passed
 
+    # the t proposal overflows at this df and warns (scipy, log_profile, log_w);
+    # the test is about the report, so those warnings are let through here
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_non_finite_estimate_fails(self):
+        report = vf.check_normalization(identity_model((1,), dn.Kernel.student_t(0.01)),
+                                        10_000, RandomStream(1))
+        assert not math.isfinite(report.estimate)
+        assert not report.passed
+        assert report.line().split()[:6] == ["normalization-t0.01-1", "nan", "nan", "1", "0", "fail"]
+
     def test_reproducible_from_seed(self):
         model = identity_model((2, 2))
         a = vf.check_normalization(model, 20_000, RandomStream(207))
