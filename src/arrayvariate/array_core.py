@@ -267,11 +267,13 @@ def parse_records(text, source, header, order=None) -> list:
             lineno += 1
         if lineno >= n_lines:
             break
-        if last is not None:
+        if last is not None and lineno + 1 < n_lines and lines[lineno + 1] == dims_text:
             # Take the next records in one step when each repeats the last
             # record's lines: its header, dims and separator lines verbatim,
             # and its token count on every data line.  Anything else is left
-            # to the line walk below, which reports the fault.
+            # to the line walk below, which reports the fault.  A next record
+            # whose dims line differs (another shape, or other spacing) skips
+            # the attempt, which costs more than walking a small record.
             period = lineno - last
             fixed = [(j, lines[last + j]) for j in (0, 1, *range(2 + len(counts), period))]
             k = min(take, (n_lines - lineno) // period)
@@ -352,7 +354,10 @@ def parse_arrays(text, source="<string>") -> list:
 
     Raises :class:`FormatError` with ``source:line:`` on any malformed input.
     """
-    return [unrvec(row, dims) for dims, rows in parse_records(text, source, "ARRV1") for row in rows]
+    # k arrays of shape dims, stacked in rvec order, are a (k, *reversed dims)
+    # C array with its last axes reversed
+    return [a for dims, rows in parse_records(text, source, "ARRV1")
+            for a in rows.reshape(-1, *dims[::-1]).transpose(0, *range(len(dims), 0, -1))]
 
 
 def read_records(path, header, order=None) -> list:
@@ -362,11 +367,19 @@ def read_records(path, header, order=None) -> list:
     return parse_records(text, str(path), header, order)
 
 
-def read_array(path) -> np.ndarray:
-    """Read a file expected to hold exactly one ARRV1 array."""
-    runs = read_records(path, "ARRV1")
+def only_record(runs, source, noun) -> tuple:
+    """The ``(dims, values)`` of the one record in :func:`parse_records`' ``runs``.
+
+    Raises :class:`FormatError` when ``runs`` holds any other number of records.
+    """
     count = sum(len(rows) for _, rows in runs)
     if count != 1:
-        raise FormatError(f"{path}:1: expected exactly one array, found {count}")
+        raise FormatError(f"{source}:1: expected exactly one {noun}, found {count}")
     ((dims, rows),) = runs
-    return unrvec(rows[0], dims)
+    return dims, rows[0]
+
+
+def read_array(path) -> np.ndarray:
+    """Read a file expected to hold exactly one ARRV1 array."""
+    dims, values = only_record(read_records(path, "ARRV1"), path, "array")
+    return unrvec(values, dims)

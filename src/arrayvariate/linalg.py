@@ -13,8 +13,8 @@ Only numpy is used, so importing this module loads no scipy.  Matrices are
 
 import numpy as np
 
-from .array_core import parse_records, write_records
-from .errors import FormatError, SingularMatrixError
+from .array_core import only_record, parse_records, write_records
+from .errors import SingularMatrixError
 
 # Reject a factorization when min |pivot| < PIVOT_RTOL * max |pivot|.
 PIVOT_RTOL = 1e-12
@@ -147,12 +147,8 @@ def write_matrix(a, path) -> None:
 
 def parse_matrix(text, source="<string>") -> np.ndarray:
     """Parse one MATV1 matrix; :class:`FormatError` names source and line."""
-    runs = parse_records(text, source, "MATV1", order=2)
-    count = sum(len(rows) for _, rows in runs)
-    if count != 1:
-        raise FormatError(f"{source}:1: expected exactly one matrix, found {count}")
-    ((dims, rows),) = runs
-    return rows.reshape(dims)
+    dims, values = only_record(parse_records(text, source, "MATV1", order=2), source, "matrix")
+    return values.reshape(dims)
 
 
 def read_matrix(path) -> np.ndarray:
