@@ -48,7 +48,6 @@ from .sampling import (
     RandomStream,
     sample_elliptical,
     sample_elliptical_rvecs,
-    sample_radii,
 )
 from .verify import (
     McReport,
@@ -56,7 +55,6 @@ from .verify import (
     check_normalization,
     check_radial,
     implied_covariance,
-    radial_cdf,
     run_suite,
 )
 

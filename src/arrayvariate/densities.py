@@ -26,6 +26,7 @@ from .multilinear import map_tiles, r_multiply
 LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_TINY = math.log(np.finfo(float).tiny)
+EPS = np.finfo(float).eps
 
 
 class Kernel:
@@ -188,6 +189,11 @@ class StudentKernel(Kernel):
         # the first term of its series is exact to double precision.
         from scipy.special import betainc, betaincc, betaln
 
+        if self.df * EPS >= k * k:
+            # the normal limit: the two CDFs differ by about k^2 / (4 df) of
+            # their value, below half an ulp here, and betainc returns nan once
+            # df/2 is huge (from df near 1e160 at k = 3)
+            return NormalKernel().radial_cdf(r, k)
         a, b = 0.5 * self.df, 0.5 * k
         with np.errstate(divide="ignore"):
             log_s = math.log(self.df) - 2.0 * np.log(np.asarray(r, dtype=float))  # +inf at r = 0
@@ -384,11 +390,11 @@ def logpdf_elliptical(model, x) -> float:
     return float(logpdf_elliptical_rvecs(model, rvec(_checked_array(model, x))[None, :])[0])
 
 
-def logpdf_elliptical_rvecs(model, rows) -> np.ndarray:
-    """Vectorized :func:`logpdf_elliptical` over stacked draws.
+def squared_norms(model, rows) -> np.ndarray:
+    """Squared norms of the standardized stacked draws: ``||standardize(model, x_k)||^2``.
 
     ``rows`` is an ``(n, m)`` matrix whose rows are rvec'd arrays; returns the
-    n log-densities.
+    n squared norms that the density feeds to its kernel.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.m:
@@ -398,4 +404,13 @@ def logpdf_elliptical_rvecs(model, rows) -> np.ndarray:
     # centering writes the tile's batch-trailing block, so the engine starts without a copy
     for tile, z in map_tiles(model.inv_factors, model.shape, len(q), lambda t: np.subtract(rows[t].T, mean, order="C")):
         np.einsum("ij,ij->j", z, z, out=q[tile])
-    return np.asarray(log_kernel_pdf(model.kernel, q, model.m)) - model.log_jac
+    return q
+
+
+def logpdf_elliptical_rvecs(model, rows) -> np.ndarray:
+    """Vectorized :func:`logpdf_elliptical` over stacked draws.
+
+    ``rows`` is an ``(n, m)`` matrix whose rows are rvec'd arrays; returns the
+    n log-densities.
+    """
+    return np.asarray(log_kernel_pdf(model.kernel, squared_norms(model, rows), model.m)) - model.log_jac

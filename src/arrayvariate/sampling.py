@@ -57,19 +57,6 @@ class RandomStream:
         return f"RandomStream(seed={self.seed})"
 
 
-def sample_radii(kernel, m, n, stream) -> np.ndarray:
-    """n radius draws of the kernel's spherical law in dimension m.
-
-    Normal kernel: ``sqrt(chi2_m)``.  t kernel with df v: ``sqrt(chi2_m) / sqrt(w/v)``
-    with w a chi2_v draw, the two chi-square draws made in that order.  Raises
-    ``OverflowError`` when a w draw underflowed to 0, as at very small df.
-    """
-    if m < 1:
-        raise ValueError(f"dimension must be >= 1, got {m}")
-    gen = stream.generator
-    return np.sqrt(gen.chisquare(m, size=n)) / kernel.radius_divisor(n, gen)
-
-
 def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
     """n draws from the model, stacked: row k is ``rvec`` of the k-th array.
 

@@ -37,6 +37,14 @@ def random_model(gen, dims, kernel):
     return KroneckerModel(mean, factors, kernel)
 
 
+def model_radii(model, n, stream):
+    """Radii of n draws of the model's sampler, standardized by the density's path."""
+    from arrayvariate.densities import squared_norms
+    from arrayvariate.sampling import sample_elliptical_rvecs
+
+    return np.sqrt(squared_norms(model, sample_elliptical_rvecs(model, n, stream)))
+
+
 # ---------------------------------------------------------------------------
 # Reference dense linear algebra: the scipy.linalg LU and Cholesky routines
 # that arrayvariate.linalg ran on before its numpy-only kernel replaced them,

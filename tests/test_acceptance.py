@@ -23,7 +23,9 @@ from arrayvariate.linalg import write_matrix
 from support import (
     chain_trace,
     lstsq_residual,
+    model_radii,
     monolinear_equiv_check,
+    random_model,
     random_shape,
     well_conditioned,
     with_kernel,
@@ -195,17 +197,21 @@ def test_c5_sampling_laws():
     n = 50_000
     failures = []
 
-    radii = sp.sample_radii(dn.Kernel.normal(), 4, n, sp.RandomStream(1501))
+    def draw_radii(kernel, dims, seed):
+        # the sampler's draws of a random model, standardized by the density's path
+        return model_radii(random_model(np.random.default_rng(seed), dims, kernel), n, sp.RandomStream(seed))
+
+    radii = draw_radii(dn.Kernel.normal(), (2, 2), 1501)
     p = stats.kstest(radii, stats.chi(4).cdf).pvalue
     if p < 0.01:
         failures.append(f"chi radial p={p:.4f}")
 
-    radii = sp.sample_radii(dn.Kernel.normal(), 2, n, sp.RandomStream(1502))
+    radii = draw_radii(dn.Kernel.normal(), (2,), 1502)
     p = stats.kstest(radii, stats.rayleigh.cdf).pvalue
     if p < 0.01:
         failures.append(f"rayleigh p={p:.4f}")
 
-    radii = sp.sample_radii(dn.Kernel.student_t(4.0), 1, n, sp.RandomStream(1503))
+    radii = draw_radii(dn.Kernel.student_t(4.0), (1,), 1503)
     p = stats.kstest(radii, lambda r: 2 * stats.t.cdf(r, 4.0) - 1).pvalue
     if p < 0.01:
         failures.append(f"folded-t p={p:.4f}")

@@ -127,6 +127,27 @@ class TestRadialCdf:
         assert cdf[0] == 0.0 and 0.0 <= cdf.min() and cdf.max() <= 1.0
 
 
+    @pytest.mark.parametrize("df", [1e200, 1e300])
+    @pytest.mark.parametrize("k", [1, 3, 512])
+    def test_finite_and_monotone_at_huge_df(self, df, k):
+        rs = np.logspace(-5, 300, 6001)
+        cdf = dn.Kernel.student_t(df).radial_cdf(rs, k)
+        assert np.all(np.isfinite(cdf))
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert 0.0 <= cdf.min() and cdf.max() <= 1.0
+
+    @pytest.mark.parametrize("k", [1, 3, 512])
+    def test_normal_limit_at_large_df(self, k):
+        # past df = k^2 / eps the t CDF is the normal one; just below, the
+        # betainc path agrees with it to its own accuracy (1.2e-12 at k = 512)
+        rs = np.linspace(0.0, 3.0 * math.sqrt(k), 301)
+        limit = k * k / np.finfo(float).eps
+        normal = dn.Kernel.normal().radial_cdf(rs, k)
+        np.testing.assert_array_equal(dn.Kernel.student_t(limit).radial_cdf(rs, k), normal)
+        np.testing.assert_allclose(dn.Kernel.student_t(limit / 2).radial_cdf(rs, k), normal, rtol=1e-11,
+                                   atol=np.finfo(float).tiny)  # gammainc flushes subnormals to 0
+
+
 class TestLogJacobian:
     def test_identity_factors(self):
         assert dn.log_jacobian([np.eye(2), np.eye(3)]) == 0.0

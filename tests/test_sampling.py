@@ -8,7 +8,7 @@ from arrayvariate import densities as dn
 from arrayvariate import sampling as sp
 from arrayvariate.array_core import rvec, sq_norm
 from arrayvariate.kronecker import inv_kron_chain
-from support import random_model
+from support import model_radii, random_model
 
 
 class TestRandomStream:
@@ -77,40 +77,50 @@ class TestSphere:
         assert np.max(np.abs(draws.mean(axis=0))) <= 3 / math.sqrt(m * n)
 
 
+def radii(kernel, dims, n, stream):
+    """Radii of n draws of the identity model, standardized by the density's path."""
+    model = dn.KroneckerModel(np.zeros(dims), [np.eye(d) for d in dims], kernel)
+    return model_radii(model, n, stream)
+
+
 class TestRadius:
+    DIMS = {1: (1,), 6: (2, 3), 512: (8, 8, 8)}
+
     def test_normal_m2_is_rayleigh(self):
-        radii = sp.sample_radii(dn.Kernel.normal(), 2, 50_000, sp.RandomStream(105))
-        assert stats.kstest(radii, stats.rayleigh.cdf).pvalue >= 0.01
+        r = radii(dn.Kernel.normal(), (2,), 50_000, sp.RandomStream(105))
+        assert stats.kstest(r, stats.rayleigh.cdf).pvalue >= 0.01
 
     def test_t4_m1_is_folded_t(self):
-        radii = sp.sample_radii(dn.Kernel.student_t(4.0), 1, 50_000, sp.RandomStream(106))
-        assert stats.kstest(radii, lambda r: 2 * stats.t.cdf(r, 4.0) - 1).pvalue >= 0.01
+        r = radii(dn.Kernel.student_t(4.0), (1,), 50_000, sp.RandomStream(106))
+        assert stats.kstest(r, lambda x: 2 * stats.t.cdf(x, 4.0) - 1).pvalue >= 0.01
 
     @pytest.mark.parametrize("seed", [0, 108])
     @pytest.mark.parametrize("m", [1, 6, 512])
     def test_t_radius_is_chi_over_scaled_chi(self, seed, m):
         df = 5.0
         gen = np.random.default_rng(seed)
-        chi = np.sqrt(gen.chisquare(m, size=300))
-        expected = chi / np.sqrt(gen.chisquare(df, size=300) / df)
-        radii = sp.sample_radii(dn.Kernel.student_t(df), m, 300, sp.RandomStream(seed))
-        np.testing.assert_array_equal(radii, expected)
+        # the sampler draws the n divisors first, then each draw's m normals
+        d = np.sqrt(gen.chisquare(df, size=300) / df)
+        expected = np.linalg.norm(gen.standard_normal((300, m)), axis=1) / d
+        r = radii(dn.Kernel.student_t(df), self.DIMS[m], 300, sp.RandomStream(seed))
+        # identity factors: only the division and the two sums of squares round
+        np.testing.assert_allclose(r, expected, rtol=m * np.finfo(float).eps, atol=0.0)
 
     def test_nonnegative(self):
         stream = sp.RandomStream(107)
         for kernel in (dn.Kernel.normal(), dn.Kernel.student_t(2.5), dn.Kernel.cauchy()):
-            assert np.all(sp.sample_radii(kernel, 3, 200, stream) >= 0.0)
+            assert np.all(radii(kernel, (3,), 200, stream) >= 0.0)
 
     def test_zero_t_divisor_raises_overflow(self):
         # the kernel rejects a chi-square draw that underflowed to 0 before
-        # the radii are divided by it; a RuntimeWarning would fail this test
+        # the normals are divided by it; a RuntimeWarning would fail this test
         with pytest.raises(OverflowError, match=r"^t kernel with df 0\.001: draw \d+ .* radius divisor is 0\)$"):
-            sp.sample_radii(dn.Kernel.student_t(0.001), 1, 2000, sp.RandomStream(1))
+            radii(dn.Kernel.student_t(0.001), (1,), 2000, sp.RandomStream(1))
 
     def test_custom_kernel_unsupported(self):
         kernel = dn.Kernel.custom(lambda t: np.exp(-t), lambda k: 0.0)
         with pytest.raises(NotImplementedError):
-            sp.sample_radii(kernel, 2, 3, sp.RandomStream(1))
+            radii(kernel, (2,), 3, sp.RandomStream(1))
         with pytest.raises(NotImplementedError):
             kernel.radial_cdf(1.0, 2)
 
