@@ -71,6 +71,29 @@ def unrvec(vec, shape) -> np.ndarray:
     return v.reshape(tuple(int(d) for d in shape), order="F")
 
 
+def check_finite(out, rows, shape, name, result) -> None:
+    """Raise unless ``out`` is finite; its row k was computed from row k of ``rows``.
+
+    ``rows`` holds stacked arrays of ``shape``, one ``rvec`` per row.  A
+    ``ValueError`` names the first row holding a non-finite cell, and the
+    cell by its 1-based multi-index.  When every row is finite, an
+    ``OverflowError`` names the first row whose ``result`` overflowed.
+    ``name`` is how a message calls row k: ``"row {k}"``, or ``"array"``
+    for a single array.
+    """
+    if np.isfinite(out).all():
+        return
+    finite = np.isfinite(rows)
+    bad = ~finite.all(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        at = int(finite[k].argmin())
+        idx = tuple(int(j) + 1 for j in np.unravel_index(at, shape, order="F"))
+        raise ValueError(f"{name.format(k=k)} cell {idx} is not finite ({float(rows[k, at])!r})")
+    k = int(np.isfinite(out.reshape(len(rows), -1)).all(axis=1).argmin())
+    raise OverflowError(f"{name.format(k=k)}: its {result} overflows in floating point")
+
+
 def sq_norm(x) -> float:
     """Sum of squared cells; equals ``dot(rvec(x), rvec(x))``."""
     v = rvec(x)

@@ -5,10 +5,18 @@ A Kronecker model couples a location array ``M`` with one non-singular
 (undoing the shift and the per-mode maps), feeding the squared norm of the
 standardized array to a spherical kernel pdf, and subtracting the log volume
 change of the multilinear transform.  A batch runs through
-:func:`~arrayvariate.multilinear.map_tiles` one row tile at a time: each tile
-is centered straight into the engine's batch-trailing layout, and its squared
-norms are taken while the standardized tile is in cache.  A single array is
-evaluated as a batch of one.  Everything is computed and exposed in log space.
+:func:`~arrayvariate.multilinear.map_tiles` one row tile at a time.  A tile
+of long rows (:func:`~arrayvariate.multilinear.reads_rows`, m >= 12) is
+centered into C-ordered ``(w, m)`` rows, which the engine's first mode reads
+in place; a tile of short rows is centered straight into the engine's
+batch-trailing ``(m, w)`` block.  Either way the engine hands back the
+standardized ``(m, w)`` block, and its squared norms are taken while it is in
+cache.  ``KroneckerModel`` holds its factors and their inverses in Fortran
+order, the layout in which both entries round alike.  A non-finite squared
+norm raises: ``ValueError`` when its array holds a non-finite cell,
+``OverflowError`` when the array is finite and the norm overflowed.  A single
+array is evaluated as a batch of one.  Everything is computed and exposed in
+log space.
 The normal kernel's density needs no special function; ``scipy.special`` is
 imported inside the kernel methods that do (t profiles, radial densities and
 CDFs), on first use.
@@ -19,9 +27,9 @@ import math
 import numpy as np
 
 from . import linalg
-from .array_core import as_array, rvec
+from .array_core import as_array, check_finite, rvec
 from .errors import SingularMatrixError
-from .multilinear import map_tiles, r_multiply
+from .multilinear import map_array, map_tiles, reads_rows
 
 LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -286,12 +294,10 @@ class KroneckerModel:
 
     def __init__(self, mean, factors, kernel):
         mean = as_array(mean)
-        finite = np.isfinite(rvec(mean))
-        if not finite.all():  # name the first bad cell in stacked order
-            at = int(np.argmin(finite))
-            idx = tuple(int(j) + 1 for j in np.unravel_index(at, mean.shape, order="F"))
-            raise ValueError(f"mean cell {idx} is not finite ({float(rvec(mean)[at])!r})")
-        factors = [linalg.as_matrix(f) for f in factors]
+        check_finite(rvec(mean), rvec(mean)[None, :], mean.shape, "mean", "")
+        # Fortran order, the layout of the inverses: the engine's GEMMs then
+        # round alike whichever way a tile enters (see multilinear)
+        factors = [np.asfortranarray(linalg.as_matrix(f)) for f in factors]
         if len(factors) != mean.ndim:
             raise ValueError(f"{len(factors)} factors for a mean array of order {mean.ndim}")
         inv_factors, logdets = [], []
@@ -374,9 +380,11 @@ def _checked_array(model, x) -> np.ndarray:
 def standardize(model, x) -> np.ndarray:
     """Undo the model's shift and per-mode maps: ``(A1^-1, ...) applied to (x - M)``.
 
-    Inverted exactly by ``r_multiply(model.factors, z) + model.mean``.
+    Inverted exactly by ``r_multiply(model.factors, z) + model.mean``.  Raises
+    ``ValueError`` for a non-finite cell of ``x`` and ``OverflowError`` when
+    the standardized array of a finite ``x`` overflows.
     """
-    return r_multiply(model.inv_factors, _checked_array(model, x) - model.mean)
+    return map_array(model.inv_factors, _checked_array(model, x), "array", "standardized array", shift=model.mean)
 
 
 def logpdf_elliptical(model, x) -> float:
@@ -394,16 +402,24 @@ def squared_norms(model, rows) -> np.ndarray:
     """Squared norms of the standardized stacked draws: ``||standardize(model, x_k)||^2``.
 
     ``rows`` is an ``(n, m)`` matrix whose rows are rvec'd arrays; returns the
-    n squared norms that the density feeds to its kernel.
+    n squared norms that the density feeds to its kernel.  A norm that is not
+    finite raises ``ValueError`` naming the first row with a non-finite cell,
+    or ``OverflowError`` when every row is finite.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.m:
         raise ValueError(f"expected an (n, {model.m}) matrix of stacked arrays, got {rows.shape}")
-    mean = rvec(model.mean)[:, None]
+    mean = rvec(model.mean)
+    if reads_rows(model.m):
+        enter = lambda t: np.subtract(rows[t], mean, order="C")  # C rows whatever the input's order
+    else:  # centering writes the tile's batch-trailing block, so the engine starts without a copy
+        enter = lambda t: np.subtract(rows[t].T, mean[:, None], order="C")
     q = np.empty(len(rows))
-    # centering writes the tile's batch-trailing block, so the engine starts without a copy
-    for tile, z in map_tiles(model.inv_factors, model.shape, len(q), lambda t: np.subtract(rows[t].T, mean, order="C")):
-        np.einsum("ij,ij->j", z, z, out=q[tile])
+    # a non-finite or overflowing cell leaves a non-finite norm, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tile, z in map_tiles(model.inv_factors, model.shape, len(q), enter):
+            np.einsum("ij,ij->j", z, z, out=q[tile])
+    check_finite(q, rows, model.shape, "row {k}", "squared norm")
     return q
 
 
@@ -411,6 +427,6 @@ def logpdf_elliptical_rvecs(model, rows) -> np.ndarray:
     """Vectorized :func:`logpdf_elliptical` over stacked draws.
 
     ``rows`` is an ``(n, m)`` matrix whose rows are rvec'd arrays; returns the
-    n log-densities.
+    n log-densities.  A non-finite row raises as :func:`squared_norms` does.
     """
     return np.asarray(log_kernel_pdf(model.kernel, squared_norms(model, rows), model.m)) - model.log_jac

@@ -8,7 +8,8 @@ elimination (one row swap and one rank-1 update per column), and the inverse,
 solve and log-determinant then come from ``numpy.linalg``.  The left inverse
 applies the same ratio test to the pivots of the Cholesky factor of ``A'A``.
 Only numpy is used, so importing this module loads no scipy.  Matrices are
-2-D float64 ndarrays.
+2-D float64 ndarrays with finite entries: ``as_matrix`` rejects any other
+with a ``ValueError`` naming the first non-finite entry.
 """
 
 import numpy as np
@@ -24,6 +25,10 @@ def as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got an array of order {a.ndim}")
+    finite = np.isfinite(a)
+    if not finite.all():  # name the first bad entry in reading order
+        i, j = np.unravel_index(int(finite.argmin()), a.shape)
+        raise ValueError(f"matrix entry ({i + 1}, {j + 1}) is not finite ({float(a[i, j])!r})")
     return a
 
 

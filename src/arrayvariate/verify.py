@@ -77,7 +77,12 @@ def check_normalization(model, n, stream) -> McReport:
     k = inv_kron_chain(model.factors)
     mu = rvec(model.mean)
     draws, log_q = model.kernel.importance_proposal(mu, k, n, gen)
-    log_w = logpdf_elliptical_rvecs(model, draws) - log_q
+    try:
+        log_w = logpdf_elliptical_rvecs(model, draws) - log_q
+    except (ValueError, OverflowError):
+        # a proposal draw that is not finite, or whose norm overflows (t at
+        # tiny df), leaves no finite estimate: the weights are nan, and the check fails
+        log_w = np.full(n, np.nan)
     w = np.exp(log_w)
     estimate = float(np.mean(w))
     stderr = float(np.std(w, ddof=1) / math.sqrt(n))

@@ -1,0 +1,145 @@
+"""Finite in, finite out at the library boundary.
+
+Every library entry that takes an array, an observation or a mode map either
+returns a finite answer or raises: ``ValueError`` naming the first
+non-finite input cell or matrix entry, ``OverflowError`` when the inputs are
+finite and the result overflowed.  None of them emits a floating-point
+warning on the way.
+"""
+
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from arrayvariate import densities as dn
+from arrayvariate import linalg
+from arrayvariate import multilinear as ml
+from arrayvariate.array_core import rvec
+
+BAD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+SHAPE = (2, 3)
+
+
+def model(factor=None):
+    factors = [np.array([[2.0, 0.5], [0.0, 1.0]]), np.eye(3) if factor is None else factor]
+    return dn.KroneckerModel(np.zeros(SHAPE), factors, dn.Kernel.student_t(5.0))
+
+
+def long_model():
+    # 3 x 4 = 12 cells: the engine reads these rows in place (multilinear.reads_rows)
+    return dn.KroneckerModel(np.zeros((3, 4)), [np.eye(3), np.full((4, 4), 0.5) + np.eye(4)], dn.Kernel.normal())
+
+
+def array_with(bad, value=1.0):
+    x = np.full(SHAPE, value)
+    x[1, 2] = bad  # stacked position 6, the last cell
+    x[0, 2] = bad  # stacked position 5: the first bad cell
+    return x
+
+
+def map_with(bad):
+    a = np.eye(3)
+    a[1, 2] = bad  # entry (2, 3) in reading order
+    a[2, 0] = bad
+    return a
+
+
+def rows_with(bad):
+    rows = np.ones((4, 6))
+    rows[2, 4] = bad  # row 2, cell (1, 3)
+    rows[3, 0] = bad
+    return rows
+
+
+def long_rows_with(bad):
+    rows = np.ones((5, 12))
+    rows[3, 8] = bad  # row 3, cell (3, 3) of a 3 x 4 array
+    rows[4, 0] = bad
+    return rows
+
+
+MAPS = [np.eye(2), np.eye(3)]
+
+# entry, where the bad value sits, the call, the exception and its message prefix
+CASES = [
+    ("logpdf_elliptical", "array", lambda b: dn.logpdf_elliptical(model(), array_with(b)),
+     ValueError, "row 0 cell (1, 3) is not finite"),
+    ("logpdf_elliptical_rvecs", "array", lambda b: dn.logpdf_elliptical_rvecs(model(), rows_with(b)),
+     ValueError, "row 2 cell (1, 3) is not finite"),
+    ("logpdf_elliptical_rvecs", "long-rows", lambda b: dn.logpdf_elliptical_rvecs(long_model(), long_rows_with(b)),
+     ValueError, "row 3 cell (3, 3) is not finite"),
+    ("logpdf_elliptical", "map", lambda b: dn.logpdf_elliptical(model(map_with(b)), np.ones(SHAPE)),
+     ValueError, "matrix entry (2, 3) is not finite"),
+    ("standardize", "array", lambda b: dn.standardize(model(), array_with(b)),
+     ValueError, "array cell (1, 3) is not finite"),
+    ("standardize", "map", lambda b: dn.standardize(model(map_with(b)), np.ones(SHAPE)),
+     ValueError, "matrix entry (2, 3) is not finite"),
+    ("r_multiply", "array", lambda b: ml.r_multiply(MAPS, array_with(b)),
+     ValueError, "array cell (1, 3) is not finite"),
+    ("r_multiply", "map", lambda b: ml.r_multiply([np.eye(2), map_with(b)], np.ones(SHAPE)),
+     ValueError, "matrix entry (2, 3) is not finite"),
+    ("multilinear_lstsq", "observation", lambda b: ml.multilinear_lstsq(MAPS, array_with(b)),
+     ValueError, "observation cell (1, 3) is not finite"),
+    ("multilinear_lstsq", "map", lambda b: ml.multilinear_lstsq([np.eye(2), map_with(b)], np.ones(SHAPE)),
+     ValueError, "matrix entry (2, 3) is not finite"),
+    ("l_inverse", "map", lambda b: linalg.l_inverse(map_with(b)),
+     ValueError, "matrix entry (2, 3) is not finite"),
+]
+
+
+def raises_without_warning(call, exc, prefix):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(exc, match="^" + re.escape(prefix)) as info:
+            call()
+    assert [str(w.message) for w in caught] == []
+    return info.value
+
+
+class TestNonFiniteInputs:
+    def test_long_rows_are_read_in_place(self):
+        assert ml.reads_rows(long_model().m) and not ml.reads_rows(model().m)
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("entry, where, call, exc, prefix", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES])
+    def test_raises_naming_the_first_bad_cell(self, entry, where, call, exc, prefix, bad):
+        err = raises_without_warning(lambda: call(BAD[bad]), exc, prefix)
+        assert str(err).endswith(f"({BAD[bad]!r})")
+
+
+# finite inputs whose result is beyond the float range
+OVERFLOWS = [
+    ("logpdf_elliptical_rvecs",
+     lambda: dn.logpdf_elliptical_rvecs(model(), np.vstack([np.ones(6), np.full(6, 1e200)])),
+     "row 1: its squared norm overflows"),
+    ("logpdf_elliptical", lambda: dn.logpdf_elliptical(model(), array_with(1e300, 1e300)),
+     "row 0: its squared norm overflows"),
+    ("standardize", lambda: dn.standardize(model(1e-10 * np.eye(3)), np.full(SHAPE, 1e300)),
+     "array: its standardized array overflows"),
+    ("r_multiply", lambda: ml.r_multiply([np.full((2, 2), 1e200), np.eye(3)], np.full(SHAPE, 1e200)),
+     "array: its image overflows"),
+    ("multilinear_lstsq", lambda: ml.multilinear_lstsq([1e-200 * np.eye(2), np.eye(3)], np.full(SHAPE, 1e200)),
+     "observation: its estimate overflows"),
+]
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("entry, call, prefix", OVERFLOWS, ids=[c[0] for c in OVERFLOWS])
+    def test_finite_input_whose_result_overflows(self, entry, call, prefix):
+        raises_without_warning(call, OverflowError, prefix)
+
+    def test_shifted_overflow_is_not_blamed_on_the_array(self):
+        # x - M overflows while both are finite: standardize reports an overflow, not a bad cell
+        m = dn.KroneckerModel(np.full(SHAPE, -1e308), [np.eye(2), np.eye(3)], dn.Kernel.normal())
+        raises_without_warning(lambda: dn.standardize(m, np.full(SHAPE, 1e308)), OverflowError, "array: its")
+
+
+class TestFiniteAnswers:
+    def test_finite_inputs_still_give_finite_answers(self):
+        x = np.arange(6.0).reshape(SHAPE)
+        assert np.isfinite(dn.logpdf_elliptical(model(), x))
+        np.testing.assert_array_equal(ml.r_multiply(MAPS, x), x)
+        np.testing.assert_array_equal(ml.multilinear_lstsq(MAPS, x), x)
+        np.testing.assert_allclose(rvec(dn.standardize(model(), x)), rvec(ml.r_multiply(model().inv_factors, x)))

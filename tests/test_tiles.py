@@ -4,7 +4,9 @@
 tiled ones must agree with them at every tile boundary, byte for byte at the
 benchmark's shapes, and must not hold a second batch-sized array.  Normal
 draws must also match the spherical formula ``(||z|| / d) * (z / ||z||)``
-that the sampler used before ``z / d``, up to rounding.
+that the sampler used before ``z / d``, up to rounding.  Neither the memory
+layout of a model's factors nor that of the rows may change a byte, on
+either side of the engine's row-length rule.
 """
 
 import tracemalloc
@@ -129,6 +131,51 @@ class TestBenchmarkShapesBytes:
         mapped = ml.apply_modes(model.inv_factors, rows, dims)
         expected = apply_modes_untiled(model.inv_factors, rows, dims)
         assert mapped.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def sliced(a):
+    """A non-contiguous view holding the values of the matrix ``a``."""
+    big = np.zeros((a.shape[0], 2 * a.shape[1]))
+    big[:, ::2] = a
+    return big[:, ::2]
+
+
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray, "sliced": sliced}
+
+# shapes on both sides of the row-length rule, then the benchmark's
+LAYOUT_CASES = [((2, 3), 300, "t5"), ((2, 2, 2), 300, "normal"), ((3, 4), 300, "t5"), ((4, 2, 2), 300, "normal")]
+LAYOUT_CASES += BENCHMARK_SHAPES
+
+
+class TestLayoutIndependence:
+    def test_cases_cover_both_sides_of_the_rule(self):
+        assert {ml.reads_rows(int(np.prod(dims))) for dims, _, _ in LAYOUT_CASES} == {False, True}
+
+    @pytest.mark.parametrize("dims, n, kernel", LAYOUT_CASES)
+    def test_factor_layout_does_not_change_a_byte(self, dims, n, kernel):
+        base = random_model(np.random.default_rng(68), dims, KERNELS[kernel])
+        results = {}
+        for name, layout in LAYOUTS.items():
+            model = dn.KroneckerModel(base.mean, [layout(f) for f in base.factors], base.kernel)
+            rows = sp.sample_elliptical_rvecs(model, n, sp.RandomStream(69))
+            results[name] = [
+                rows.tobytes(),
+                dn.logpdf_elliptical_rvecs(model, rows).tobytes(),
+                ml.apply_modes(model.inv_factors, rows, dims).tobytes(),
+                ml.apply_modes(model.factors, rows, dims).tobytes(),
+            ]
+        assert results["F"] == results["C"]
+        assert results["sliced"] == results["C"]
+
+    @pytest.mark.parametrize("dims, n, kernel", LAYOUT_CASES)
+    def test_row_layout_does_not_change_a_byte(self, dims, n, kernel):
+        model = random_model(np.random.default_rng(70), dims, KERNELS[kernel])
+        rows = sp.sample_elliptical_rvecs(model, n, sp.RandomStream(71))
+        mapped = ml.apply_modes(model.inv_factors, rows, dims).tobytes()
+        density = dn.logpdf_elliptical_rvecs(model, rows).tobytes()
+        for layout in (np.asfortranarray, sliced):
+            assert ml.apply_modes(model.inv_factors, layout(rows), dims).tobytes() == mapped
+            assert dn.logpdf_elliptical_rvecs(model, layout(rows)).tobytes() == density
 
 
 def traced_peak(call):
