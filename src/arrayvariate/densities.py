@@ -5,11 +5,8 @@ A Kronecker model couples a location array ``M`` with one non-singular
 (undoing the shift and the per-mode maps), feeding the squared norm of the
 standardized array to a spherical kernel pdf, and subtracting the log volume
 change of the multilinear transform.  A batch runs through
-:func:`~arrayvariate.multilinear.map_tiles` one row tile at a time.  A tile
-of long rows (:func:`~arrayvariate.multilinear.reads_rows`, m >= 12) is
-centered into C-ordered ``(w, m)`` rows, which the engine's first mode reads
-in place; a tile of short rows is centered straight into the engine's
-batch-trailing ``(m, w)`` block.  Either way the engine hands back the
+:func:`~arrayvariate.multilinear.map_tiles` one row tile at a time, with
+centering (``rows - M``) as each tile's entry step; the engine hands back the
 standardized ``(m, w)`` block, and its squared norms are taken while it is in
 cache.  ``KroneckerModel`` holds its factors and their inverses in Fortran
 order, the layout in which both entries round alike.  A non-finite squared
@@ -29,7 +26,7 @@ import numpy as np
 from . import linalg
 from .array_core import as_array, check_finite, rvec
 from .errors import SingularMatrixError
-from .multilinear import map_array, map_tiles, reads_rows
+from .multilinear import map_rows, map_tiles
 
 LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -49,10 +46,12 @@ class Kernel:
         ``f(t) = Gamma((df+k)/2) / (Gamma(df/2) (df pi)^(k/2)) (1 + t/df)^(-(df+k)/2)``.
     ``Kernel.cauchy()``
         Alias for ``student_t(1)``.
-    ``Kernel.custom(profile, log_normalizer)``
-        ``f(t) = exp(log_normalizer(k)) * profile(t)``.  The caller supplies
-        the dimension-dependent normalizer; nothing is normalized numerically,
-        and custom kernels have no sampler and no closed-form radial CDF.
+    ``Kernel.custom(log_profile, log_normalizer)``
+        ``log f(t) = log_normalizer(k) + log_profile(t)``.  The profile is
+        given in log space, so it stays finite where ``f`` underflows to 0.
+        The caller supplies the dimension-dependent normalizer; nothing is
+        normalized numerically, and custom kernels have no sampler and no
+        closed-form radial CDF.
     """
 
     df = None
@@ -73,8 +72,8 @@ class Kernel:
         return StudentKernel(1.0, name="cauchy")
 
     @staticmethod
-    def custom(profile, log_normalizer):
-        return CustomKernel(profile, log_normalizer)
+    def custom(log_profile, log_normalizer):
+        return CustomKernel(log_profile, log_normalizer)
 
     @staticmethod
     def from_name(name, df=None):
@@ -236,19 +235,19 @@ class StudentKernel(Kernel):
 
 
 class CustomKernel(Kernel):
-    """User-supplied profile and normalizer; density only."""
+    """User-supplied log profile and normalizer; density only."""
 
     name = tag = "custom"
     has_sampler = False
 
-    def __init__(self, profile, log_normalizer):
-        if profile is None or log_normalizer is None:
-            raise ValueError("custom kernel needs a profile and a log_normalizer")
-        self.profile = profile
+    def __init__(self, log_profile, log_normalizer):
+        if log_profile is None or log_normalizer is None:
+            raise ValueError("custom kernel needs a log_profile and a log_normalizer")
+        self.user_log_profile = log_profile
         self.log_normalizer = log_normalizer
 
     def log_profile(self, t, k):
-        return self.log_normalizer(k) + np.log(self.profile(t))
+        return self.log_normalizer(k) + np.asarray(self.user_log_profile(t), dtype=float)
 
 
 def _check_dimension(k) -> int:
@@ -336,12 +335,11 @@ class KroneckerModel:
         return f"KroneckerModel(shape={self.shape}, kernel={self.kernel!r})"
 
 
-def log_jacobian(factors, squared=False) -> float:
+def log_jacobian(factors) -> float:
     """Log volume change of the per-mode transform: sum_j (m/mj) log |det Aj|.
 
     This is the log of the determinant of the expanded factor chain, computed
-    factor by factor so the multiplicative exponents never overflow.  With
-    ``squared`` the value doubles (the covariance ``K K'`` scale).
+    factor by factor so the multiplicative exponents never overflow.
     """
     factors = [linalg.as_matrix(f) for f in factors]
     if not factors:
@@ -357,8 +355,7 @@ def log_jacobian(factors, squared=False) -> float:
             logdets.append(linalg.logabsdet(f))
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"mode {j}: factor is singular") from exc
-    total = _weighted_logdets(logdets, dims)
-    return 2.0 * total if squared else total
+    return _weighted_logdets(logdets, dims)
 
 
 def _weighted_logdets(logdets, dims) -> float:
@@ -384,7 +381,9 @@ def standardize(model, x) -> np.ndarray:
     ``ValueError`` for a non-finite cell of ``x`` and ``OverflowError`` when
     the standardized array of a finite ``x`` overflows.
     """
-    return map_array(model.inv_factors, _checked_array(model, x), "array", "standardized array", shift=model.mean)
+    x = _checked_array(model, x)
+    out = map_rows(model.inv_factors, rvec(x)[None, :], x.shape, "array", "standardized array", rvec(model.mean))
+    return out.reshape(x.shape, order="F")
 
 
 def logpdf_elliptical(model, x) -> float:
@@ -410,14 +409,10 @@ def squared_norms(model, rows) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != model.m:
         raise ValueError(f"expected an (n, {model.m}) matrix of stacked arrays, got {rows.shape}")
     mean = rvec(model.mean)
-    if reads_rows(model.m):
-        enter = lambda t: np.subtract(rows[t], mean, order="C")  # C rows whatever the input's order
-    else:  # centering writes the tile's batch-trailing block, so the engine starts without a copy
-        enter = lambda t: np.subtract(rows[t].T, mean[:, None], order="C")
     q = np.empty(len(rows))
     # a non-finite or overflowing cell leaves a non-finite norm, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for tile, z in map_tiles(model.inv_factors, model.shape, len(q), enter):
+        for tile, z in map_tiles(model.inv_factors, model.shape, len(q), lambda t: (np.subtract, rows[t], mean)):
             np.einsum("ij,ij->j", z, z, out=q[tile])
     check_finite(q, rows, model.shape, "row {k}", "squared norm")
     return q

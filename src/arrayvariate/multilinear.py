@@ -10,18 +10,20 @@ layout (batch on the last axis of a C-contiguous block).  That costs
 defining nested sum, and no layout move or product touches more than one
 tile at a time.
 
-A tile enters in one of two layouts, chosen by :func:`reads_rows` from the
-cell count m alone.  Long rows (m >= 12) enter as the caller's own
-C-contiguous ``(w, m)`` rows: mode 1 reads them in place through a
-transposed view, one GEMM per ``(m1, w)`` slab, so no layout copy precedes
-it.  Short rows enter already moved into the batch-trailing ``(m, w)``
-block, which the caller fuses with its own entry step (centering,
-division).  On the density path, reading rows in place ran 9-43% slower at
-m = 6 to 11 and 6-44% faster at m = 12 to 16,384; CHANGES.md has the table.
-Later modes and the yielded block are the same in both layouts.  The
-engine's maps should be Fortran-ordered, as ``linalg.inverse`` and
-``KroneckerModel`` give them: the transposed-view GEMM then rounds as the
-batch-trailing one does.
+A caller names a tile's elementwise entry step (centering, division) and the
+engine evaluates it into the tile's first block, in a layout chosen by
+:func:`reads_rows` from the cell count m alone.  Long rows (m >= 12) land in
+C-contiguous ``(w, m)`` rows: mode 1 reads them through a transposed view,
+one GEMM per ``(m1, w)`` slab, so no layout copy precedes it.  Short rows
+land in the batch-trailing ``(m, w)`` block.  On the density path, reading
+rows in place ran 9-43% slower at m = 6 to 11 and 6-44% faster at m = 12 to
+16,384; CHANGES.md has the table.  Later modes and the yielded block are the
+same in both layouts.  The engine's maps should be Fortran-ordered, as
+``linalg.inverse`` and ``KroneckerModel`` give them: the transposed-view
+GEMM then rounds as the batch-trailing one does.  Maps are checked where
+they enter the library (:func:`apply_modes`, :func:`r_multiply`,
+:func:`multilinear_lstsq` and ``KroneckerModel``); :func:`map_tiles` and
+:func:`map_rows` trust them.
 """
 
 import math
@@ -39,10 +41,10 @@ TILE_BYTES = 1 << 18
 
 
 def reads_rows(m) -> bool:
-    """Whether :func:`map_tiles` takes a tile of m-cell arrays as ``(w, m)`` rows, not as an ``(m, w)`` block.
+    """Whether :func:`map_tiles` lays a tile of m-cell arrays out as ``(w, m)`` rows, not as an ``(m, w)`` block.
 
     Below 12 cells, the GEMMs of a strided row read cost more than the
-    transposing copy they save (see the module docstring).
+    transposing entry they save (see the module docstring).
     """
     return m >= 12
 
@@ -72,30 +74,50 @@ def _tiles(n, m):
 def map_tiles(maps, shape, n, enter):
     """Apply the mode maps ``(A1, ..., Ai)`` to n stacked arrays of ``shape``, one row tile at a time.
 
-    For each row tile ``t`` (a slice of ``range(n)``), ``enter(t)`` returns
-    the tile's arrays.  When :func:`reads_rows` holds for their cell count m,
-    it returns them as C-contiguous ``(len(t), m)`` rows, row k the ``rvec``
-    of array k.  Otherwise it returns the C-contiguous ``(m, len(t))`` block
-    whose column k is that ``rvec``.  Every mode runs on the tile, and the
-    generator yields ``(t, block)`` with the C-contiguous ``(q, len(t))``
-    result, which the caller finishes before the next tile is entered.
+    For each row tile ``t`` (a slice of ``range(n)``), ``enter(t)`` names the
+    tile's entry step as ``(ufunc, a, b)``: the binary ufunc whose value
+    ``ufunc(a, b)`` is the ``(len(t), m)`` matrix of the tile's arrays, row k
+    the ``rvec`` of array k.  The engine evaluates it into a fresh block in
+    the layout :func:`reads_rows` picks, runs every mode on the tile, and
+    yields ``(t, block)`` with the C-contiguous ``(q, len(t))`` result, which
+    the caller finishes before the next tile is entered.  The maps are not
+    checked here.
     """
     shape = tuple(int(d) for d in shape)
-    ms = _checked_maps(maps, shape)
     m = math.prod(shape)
     rows_in = reads_rows(m)
     for tile in _tiles(n, m):
-        block = enter(tile)
+        ufunc, *operands = enter(tile)
         width = tile.stop - tile.start
+        block = ufunc(*operands, order="C" if rows_in else "F")
         if rows_in:
             # the (m/m1, m1, w) view of the rows: mode 1 runs one GEMM per slab, on the rows in place
             block = block.reshape(width, m // shape[0], shape[0]).transpose(1, 2, 0)
+        else:
+            block = block.T  # Fortran-ordered rows, written in their own order: the batch-trailing block
         dims = list(shape)
-        for j, a in enumerate(ms):
+        for j, a in enumerate(maps):
             # mode j is the middle axis; sizes spelled out, as -1 is ambiguous for empty blocks
             block = np.matmul(a, block.reshape(math.prod(dims[j + 1:]), dims[j], width * math.prod(dims[:j])))
             dims[j] = a.shape[0]
         yield tile, block.reshape(math.prod(dims), width)
+
+
+def map_rows(maps, rows, shape, name, result, shift=0.0) -> np.ndarray:
+    """Apply the checked mode maps to each stacked row less ``shift``; the images must be finite.
+
+    Row k of the ``(n, m)`` matrix ``rows`` is the ``rvec`` of an array of
+    ``shape``; row k of the ``(n, q)`` result is the ``rvec`` of its image.  A
+    non-finite image raises as :func:`~arrayvariate.array_core.check_finite`
+    does, with the rows called ``name`` and an image ``result``.  No
+    floating-point warning is emitted on the way.
+    """
+    out = np.empty((len(rows), math.prod(a.shape[0] for a in maps)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tile, block in map_tiles(maps, shape, len(rows), lambda t: (np.subtract, rows[t], shift)):
+            out[tile] = block.T
+    check_finite(out, rows, shape, name, result)
+    return out
 
 
 def apply_modes(maps, rows, shape) -> np.ndarray:
@@ -103,6 +125,8 @@ def apply_modes(maps, rows, shape) -> np.ndarray:
 
     Row k of the ``(n, m)`` matrix ``rows`` is the ``rvec`` of an array of
     ``shape``; row k of the ``(n, q)`` result is the ``rvec`` of its image.
+    Raises ``ValueError`` naming the first row with a non-finite cell, and
+    ``OverflowError`` when the image of a finite row overflows.
     """
     shape = tuple(int(d) for d in shape)
     ms = _checked_maps(maps, shape)
@@ -110,28 +134,7 @@ def apply_modes(maps, rows, shape) -> np.ndarray:
     m = math.prod(shape)
     if rows.ndim != 2 or rows.shape[1] != m:
         raise ValueError(f"expected an (n, {m}) matrix of stacked arrays, got {rows.shape}")
-    out = np.empty((rows.shape[0], math.prod(a.shape[0] for a in ms)))
-    if reads_rows(m):
-        enter = lambda t: np.ascontiguousarray(rows[t])  # C-ordered rows go in without a copy
-    else:
-        enter = lambda t: np.ascontiguousarray(rows[t].T)
-    for tile, block in map_tiles(ms, shape, len(rows), enter):
-        out[tile] = block.T
-    return out
-
-
-def map_array(maps, x, name, result, shift=None) -> np.ndarray:
-    """Apply the mode maps to the array ``x`` (less ``shift``, if given); the image must be finite.
-
-    A non-finite image raises as :func:`~arrayvariate.array_core.check_finite`
-    does, with the cells of ``x`` called ``name`` and the image ``result``.
-    No floating-point warning is emitted on the way.
-    """
-    ms = _checked_maps(maps, x.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = apply_modes(ms, rvec(x if shift is None else x - shift)[None, :], x.shape)
-    check_finite(out, rvec(x)[None, :], x.shape, name, result)
-    return out[0].reshape(tuple(a.shape[0] for a in ms), order="F")
+    return map_rows(ms, rows, shape, "row {k}", "image")
 
 
 def r_multiply(maps, x) -> np.ndarray:
@@ -143,7 +146,10 @@ def r_multiply(maps, x) -> np.ndarray:
     Raises ``ValueError`` for a non-finite cell of ``x`` and
     ``OverflowError`` when the image of a finite ``x`` overflows.
     """
-    return map_array(maps, as_array(x), "array", "image")
+    x = as_array(x)
+    ms = _checked_maps(maps, x.shape)
+    out = map_rows(ms, rvec(x)[None, :], x.shape, "array", "image")
+    return out.reshape(tuple(a.shape[0] for a in ms), order="F")
 
 
 def multilinear_lstsq(maps, y) -> np.ndarray:
@@ -163,4 +169,5 @@ def multilinear_lstsq(maps, y) -> np.ndarray:
             inv_maps.append(linalg.l_inverse(a))
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"mode {j}: map is rank deficient") from exc
-    return map_array(inv_maps, y, "observation", "estimate")
+    out = map_rows(inv_maps, rvec(y)[None, :], y.shape, "observation", "estimate")
+    return out.reshape(tuple(a.shape[0] for a in inv_maps), order="F")

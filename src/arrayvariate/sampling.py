@@ -9,19 +9,17 @@ is formed.  Draw k of the elliptical array sampler is ``M + K (z_k / d_k)``:
 the n divisors come first from the stream (the normal kernel draws none),
 then ``z_k`` is normals ``k*m ... (k+1)*m - 1``.  The rest runs through
 :func:`~arrayvariate.multilinear.map_tiles` one row tile at a time: a tile's
-normals are drawn into the output's own rows and divided by their divisors,
-in place when the engine reads rows of m cells as they are
-(:func:`~arrayvariate.multilinear.reads_rows`, m >= 12) and otherwise moved
-into its batch-trailing ``(m, w)`` block on the way.  The engine pushes them
-through the model's per-mode factors, held in Fortran order, and hands back
-the ``(m, w)`` block, which is shifted by the location and written back over
-the same rows.  Nothing is computed by quadrature or inversion.
+normals are drawn into the output's own rows, and division by their divisors
+is the tile's entry step.  The engine pushes them through the model's
+per-mode factors, held in Fortran order, and hands back the ``(m, w)`` block,
+which is shifted by the location and written back over the same rows.
+Nothing is computed by quadrature or inversion.
 """
 
 import numpy as np
 
 from .array_core import rvec, unrvec
-from .multilinear import map_tiles, reads_rows
+from .multilinear import map_tiles
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,15 +76,9 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
     divisors = np.broadcast_to(model.kernel.radius_divisor(n, gen), n)
     rows = np.empty((n, model.m))
     mean = rvec(model.mean)
-    in_place = reads_rows(model.m)
 
-    def enter(tile):
-        # the tile's normals, in stream order, land in its own output rows
-        z = gen.standard_normal(out=rows[tile])
-        if in_place:
-            return np.divide(z, divisors[tile, None], out=z)
-        return np.divide(z.T, divisors[tile], order="C")
-
+    # the tile's normals, in stream order, land in its own output rows
+    enter = lambda t: (np.divide, gen.standard_normal(out=rows[t]), divisors[t, None])
     # an overflow leaves an inf or nan in its tile, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
         for tile, block in map_tiles(model.factors, model.shape, n, enter):

@@ -76,6 +76,12 @@ CASES = [
      ValueError, "array cell (1, 3) is not finite"),
     ("standardize", "map", lambda b: dn.standardize(model(map_with(b)), np.ones(SHAPE)),
      ValueError, "matrix entry (2, 3) is not finite"),
+    ("apply_modes", "array", lambda b: ml.apply_modes(MAPS, rows_with(b), SHAPE),
+     ValueError, "row 2 cell (1, 3) is not finite"),
+    ("apply_modes", "long-rows", lambda b: ml.apply_modes(long_model().factors, long_rows_with(b), (3, 4)),
+     ValueError, "row 3 cell (3, 3) is not finite"),
+    ("apply_modes", "map", lambda b: ml.apply_modes([np.eye(2), map_with(b)], np.ones((4, 6)), SHAPE),
+     ValueError, "matrix entry (2, 3) is not finite"),
     ("r_multiply", "array", lambda b: ml.r_multiply(MAPS, array_with(b)),
      ValueError, "array cell (1, 3) is not finite"),
     ("r_multiply", "map", lambda b: ml.r_multiply([np.eye(2), map_with(b)], np.ones(SHAPE)),
@@ -120,6 +126,9 @@ OVERFLOWS = [
      "array: its standardized array overflows"),
     ("r_multiply", lambda: ml.r_multiply([np.full((2, 2), 1e200), np.eye(3)], np.full(SHAPE, 1e200)),
      "array: its image overflows"),
+    ("apply_modes",
+     lambda: ml.apply_modes([np.full((2, 2), 1e200), np.eye(3)], np.vstack([np.ones(6), np.full(6, 1e200)]), SHAPE),
+     "row 1: its image overflows"),
     ("multilinear_lstsq", lambda: ml.multilinear_lstsq([1e-200 * np.eye(2), np.eye(3)], np.full(SHAPE, 1e200)),
      "observation: its estimate overflows"),
 ]

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrayvariate import array_core as ac
+from arrayvariate import densities as dn
+from arrayvariate import linalg
 from arrayvariate import multilinear as ml
+from arrayvariate import sampling as sp
 from arrayvariate.errors import SingularMatrixError
 from arrayvariate.kronecker import inv_kron_chain
 from support import (
@@ -12,6 +15,7 @@ from support import (
     lstsq_residual,
     monolinear_equiv_check,
     r_multiply_oracle,
+    random_model,
     random_shape,
     well_conditioned,
 )
@@ -85,6 +89,31 @@ class TestApplyModes:
     def test_row_width_error(self):
         with pytest.raises(ValueError, match=r"\(n, 6\)"):
             ml.apply_modes([np.eye(2), np.eye(3)], np.zeros((4, 5)), (2, 3))
+
+
+class TestMapChecks:
+    @pytest.mark.parametrize("dims", [(2, 3), (8, 8, 8), (32, 32, 16)])
+    def test_maps_are_checked_once_where_they_enter(self, monkeypatch, dims):
+        # a built model's factors were checked when it was built; a public map entry checks each map once
+        model = random_model(np.random.default_rng(323), dims, dn.Kernel.student_t(5.0))
+        rows = sp.sample_elliptical_rvecs(model, 3, sp.RandomStream(324))
+        x = ac.unrvec(rows[0], dims)
+        calls = []
+        as_matrix = linalg.as_matrix
+        monkeypatch.setattr(linalg, "as_matrix", lambda a: calls.append(a) or as_matrix(a))
+
+        def count(call):
+            calls.clear()
+            call()
+            return len(calls)
+
+        assert count(lambda: dn.logpdf_elliptical_rvecs(model, rows)) == 0
+        assert count(lambda: dn.logpdf_elliptical(model, x)) == 0
+        assert count(lambda: sp.sample_elliptical_rvecs(model, 3, sp.RandomStream(325))) == 0
+        assert count(lambda: dn.standardize(model, x)) == 0
+        assert count(lambda: ml.r_multiply(model.factors, x)) == model.order
+        assert count(lambda: ml.apply_modes(model.factors, rows, dims)) == model.order
+        assert count(lambda: ml.multilinear_lstsq(model.factors, x)) <= 2 * model.order
 
 
 class TestOracle:

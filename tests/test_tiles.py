@@ -91,7 +91,8 @@ class TestAgainstUntiled:
     @given(st.integers(1, 5000), st.integers(0, 2000))
     def test_tiles_cover_the_batch(self, m, n):
         seen = []
-        for tile, block in ml.map_tiles([np.ones((1, m))], (m,), n, lambda t: np.zeros((m, t.stop - t.start))):
+        enter = lambda t: (np.subtract, np.zeros((t.stop - t.start, m)), 0.0)
+        for tile, block in ml.map_tiles([np.ones((1, m))], (m,), n, enter):
             assert block.shape == (1, tile.stop - tile.start)
             seen.append(tile)
         bounds = [0] + [t.stop for t in seen]
