@@ -3,8 +3,7 @@
 Multiway arrays with one scale factor per mode: exact log-densities and
 samplers for the normal, elliptical and t families, the array algebra they
 rest on (stacking, reversed Kronecker products, per-mode multiplication,
-multilinear least squares), the monolinear bridge to ordinary multivariate
-laws, and a Monte Carlo verification harness.
+multilinear least squares), and a Monte Carlo verification harness.
 """
 
 from .array_core import (
@@ -23,7 +22,6 @@ from .array_core import (
 from .densities import (
     Kernel,
     KroneckerModel,
-    log_jacobian,
     log_kernel_pdf,
     logpdf_elliptical,
     logpdf_elliptical_rvecs,
@@ -39,10 +37,8 @@ from .linalg import (
     logabsdet,
     parse_matrix,
     read_matrix,
-    solve,
     write_matrix,
 )
-from .monolinear_stats import MonolinearNormal, conditional, marginal, to_monolinear
 from .multilinear import multilinear_lstsq, r_multiply
 from .sampling import (
     RandomStream,

@@ -288,7 +288,8 @@ class KroneckerModel:
     """Location array plus one non-singular square factor per mode plus a kernel.
 
     Validates shapes and non-singularity up front and caches the factor
-    inverses and the log Jacobian, which every density evaluation needs.
+    inverses and the log Jacobian ``log_jac``, which every density evaluation
+    needs.
     """
 
     def __init__(self, mean, factors, kernel):
@@ -299,25 +300,29 @@ class KroneckerModel:
         factors = [np.asfortranarray(linalg.as_matrix(f)) for f in factors]
         if len(factors) != mean.ndim:
             raise ValueError(f"{len(factors)} factors for a mean array of order {mean.ndim}")
-        inv_factors, logdets = [], []
+        inv_factors = []
+        # the log volume change of the per-mode transform, sum_j (m/mj) log |det Aj|:
+        # the log-determinant of the expanded factor chain, accumulated factor by
+        # factor in mode order so the multiplicative exponents never overflow
+        log_jac = 0.0
         for j, f in enumerate(factors, start=1):
             mj = mean.shape[j - 1]
             if f.shape != (mj, mj):
                 raise ValueError(f"mode {j}: factor must be {mj}x{mj}, got {f.shape[0]}x{f.shape[1]}")
             try:
-                inv = linalg.inverse(f)
+                inv = linalg._inverse(f)  # as_matrix checked f above
             except SingularMatrixError as exc:
                 raise SingularMatrixError(f"mode {j}: factor is singular") from exc
             if not np.isfinite(inv).all():
                 raise SingularMatrixError(f"mode {j}: factor's inverse is not finite")
             inv_factors.append(inv)
             # inverse ran the pivot test, so this is linalg.logabsdet without a second one
-            logdets.append(float(np.linalg.slogdet(f)[1]))
+            log_jac += (mean.size // mj) * float(np.linalg.slogdet(f)[1])
         self.mean = mean
         self.factors = tuple(factors)
         self.kernel = kernel
         self.inv_factors = tuple(inv_factors)
-        self.log_jac = _weighted_logdets(logdets, mean.shape)
+        self.log_jac = log_jac
 
     @property
     def shape(self):
@@ -333,38 +338,6 @@ class KroneckerModel:
 
     def __repr__(self):
         return f"KroneckerModel(shape={self.shape}, kernel={self.kernel!r})"
-
-
-def log_jacobian(factors) -> float:
-    """Log volume change of the per-mode transform: sum_j (m/mj) log |det Aj|.
-
-    This is the log of the determinant of the expanded factor chain, computed
-    factor by factor so the multiplicative exponents never overflow.
-    """
-    factors = [linalg.as_matrix(f) for f in factors]
-    if not factors:
-        raise ValueError("factor list must be non-empty")
-    dims = []
-    for j, f in enumerate(factors, start=1):
-        if f.shape[0] != f.shape[1]:
-            raise ValueError(f"factor {j} must be square, got {f.shape[0]}x{f.shape[1]}")
-        dims.append(f.shape[0])
-    logdets = []
-    for j, f in enumerate(factors, start=1):
-        try:
-            logdets.append(linalg.logabsdet(f))
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"mode {j}: factor is singular") from exc
-    return _weighted_logdets(logdets, dims)
-
-
-def _weighted_logdets(logdets, dims) -> float:
-    # sum_j (m/mj) log |det Aj|, accumulated in mode order
-    m = math.prod(dims)
-    total = 0.0
-    for logdet, mj in zip(logdets, dims):
-        total += (m // mj) * logdet
-    return total
 
 
 def _checked_array(model, x) -> np.ndarray:

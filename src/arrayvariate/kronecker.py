@@ -6,7 +6,8 @@ first-index-fastest stacked vector: the classical identity
 and folding the product left to right over an ordered factor list
 ``(A1, ..., Ai)`` yields the single matrix representing the whole multilinear
 map on stacked vectors, with the factor order matching the mode order.
-The chain's log-determinant is :func:`arrayvariate.densities.log_jacobian`.
+The chain's log-determinant is ``KroneckerModel.log_jac``
+(:class:`arrayvariate.densities.KroneckerModel`).
 """
 
 from functools import reduce

@@ -1,11 +1,11 @@
-"""Small dense matrix kernel: pivot-checked inverses, solves and log-determinants,
-and the left inverse ``(A'A)^{-1}A'`` used by least squares.
+"""Small dense matrix kernel: pivot-checked inverses and log-determinants, and
+the left inverse ``(A'A)^{-1}A'`` used by least squares.
 
 Everything here targets the tiny per-mode factors of a Kronecker model.  A
 square matrix is accepted when its LU factorization with partial pivoting
 passes a scale-invariant pivot-ratio test; the pivots come from a short numpy
-elimination (one row swap and one rank-1 update per column), and the inverse,
-solve and log-determinant then come from ``numpy.linalg``.  The left inverse
+elimination (one row swap and one rank-1 update per column), and the inverse
+and log-determinant then come from ``numpy.linalg``.  The left inverse
 applies the same ratio test to the pivots of the Cholesky factor of ``A'A``.
 Only numpy is used, so importing this module loads no scipy.  Matrices are
 2-D float64 ndarrays with finite entries: ``as_matrix`` rejects any other
@@ -78,25 +78,16 @@ def logabsdet(a) -> float:
 
 def inverse(a) -> np.ndarray:
     """Matrix inverse of a matrix that passes the pivot test, in Fortran order."""
-    a = _square(a)
+    return _inverse(_square(a))
+
+
+def _inverse(a) -> np.ndarray:
+    # inverse of a square matrix that as_matrix has already checked
     _checked_lu(a)
     try:
         # Fortran order, the layout LAPACK writes: the per-mode engine's
         # matmul with a 32x32 inverse factor runs 6-10% faster in it
         return np.asfortranarray(np.linalg.inv(a))
-    except np.linalg.LinAlgError as exc:
-        raise _singular() from exc
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve ``A x = b`` for non-singular A."""
-    a = _square(a)
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"right-hand side of length {b.shape[0]} does not match {a.shape[0]}x{a.shape[1]} matrix")
-    _checked_lu(a)
-    try:
-        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise _singular() from exc
 

@@ -76,14 +76,18 @@ def check_normalization(model, n, stream) -> McReport:
     gen = stream.generator
     k = inv_kron_chain(model.factors)
     mu = rvec(model.mean)
-    draws, log_q = model.kernel.importance_proposal(mu, k, n, gen)
-    try:
-        log_w = logpdf_elliptical_rvecs(model, draws) - log_q
-    except (ValueError, OverflowError):
-        # a proposal draw that is not finite, or whose norm overflows (t at
-        # tiny df), leaves no finite estimate: the weights are nan, and the check fails
-        log_w = np.full(n, np.nan)
-    w = np.exp(log_w)
+    # at tiny t df the proposal's draws and densities overflow or divide by
+    # zero; a weight that is not finite fails the check below, so the
+    # floating-point warnings on the way there say nothing more
+    with np.errstate(all="ignore"):
+        draws, log_q = model.kernel.importance_proposal(mu, k, n, gen)
+        try:
+            log_w = logpdf_elliptical_rvecs(model, draws) - log_q
+        except (ValueError, OverflowError):
+            # a proposal draw that is not finite, or whose norm overflows (t at
+            # tiny df), leaves no finite estimate: the weights are nan, and the check fails
+            log_w = np.full(n, np.nan)
+        w = np.exp(log_w)
     estimate = float(np.mean(w))
     stderr = float(np.std(w, ddof=1) / math.sqrt(n))
     z_score = (estimate - 1.0) / stderr if stderr > 0 else 0.0

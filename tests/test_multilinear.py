@@ -107,6 +107,7 @@ class TestMapChecks:
             call()
             return len(calls)
 
+        assert count(lambda: dn.KroneckerModel(model.mean, model.factors, model.kernel)) == model.order
         assert count(lambda: dn.logpdf_elliptical_rvecs(model, rows)) == 0
         assert count(lambda: dn.logpdf_elliptical(model, x)) == 0
         assert count(lambda: sp.sample_elliptical_rvecs(model, 3, sp.RandomStream(325))) == 0

@@ -59,9 +59,6 @@ class TestNormalization:
                                         100_000, RandomStream(206))
         assert report.passed
 
-    # the t proposal overflows at this df and warns (scipy, log_profile, log_w);
-    # the test is about the report, so those warnings are let through here
-    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
     def test_non_finite_estimate_fails(self):
         report = vf.check_normalization(identity_model((1,), dn.Kernel.student_t(0.01)),
                                         10_000, RandomStream(1))
