@@ -7,15 +7,11 @@ multilinear least squares), and a Monte Carlo verification harness.
 """
 
 from .array_core import (
-    distance,
     dump_arrays,
-    fiber,
-    linear_index,
     parse_arrays,
     read_array,
     rvec,
     shape_size,
-    sq_norm,
     unrvec,
     write_arrays,
 )
@@ -34,7 +30,6 @@ from .linalg import (
     dump_matrix,
     inverse,
     l_inverse,
-    logabsdet,
     parse_matrix,
     read_matrix,
     write_matrix,

@@ -7,9 +7,9 @@ position
 
     j1 + (j2 - 1) * m1 + (j3 - 1) * m1 * m2 + ...
 
-of its stacked vector, which is exactly numpy's Fortran order.  Every
-multi-index in the public API is 1-based; internal numpy indexing stays
-0-based.
+of its stacked vector, which is exactly numpy's Fortran order.  An error
+message names a cell by its 1-based multi-index; internal numpy indexing
+stays 0-based.
 """
 
 import bisect
@@ -35,26 +35,6 @@ def shape_size(shape) -> int:
     if len(dims) < 1 or any(d < 1 for d in dims):
         raise ValueError(f"invalid shape {tuple(shape)!r}: order >= 1 and every dimension >= 1 required")
     return math.prod(dims)
-
-
-def linear_index(idx, shape) -> int:
-    """1-based stacked position of the 1-based multi-index ``idx``.
-
-    Bijective from the index box ``1..m1 x ... x 1..mi`` onto ``1..m``,
-    with the first index varying fastest.
-    """
-    dims = tuple(int(d) for d in shape)
-    idx = tuple(int(j) for j in idx)
-    if len(idx) != len(dims):
-        raise IndexError(f"multi-index {idx} has {len(idx)} components, shape {dims} has {len(dims)} modes")
-    pos = 0
-    stride = 1
-    for k, (j, mk) in enumerate(zip(idx, dims), start=1):
-        if not 1 <= j <= mk:
-            raise IndexError(f"mode {k}: index {j} out of range 1..{mk}")
-        pos += (j - 1) * stride
-        stride *= mk
-    return pos + 1
 
 
 def rvec(x) -> np.ndarray:
@@ -92,45 +72,6 @@ def check_finite(out, rows, shape, name, result) -> None:
         raise ValueError(f"{name.format(k=k)} cell {idx} is not finite ({float(rows[k, at])!r})")
     k = int(np.isfinite(out.reshape(len(rows), -1)).all(axis=1).argmin())
     raise OverflowError(f"{name.format(k=k)}: its {result} overflows in floating point")
-
-
-def sq_norm(x) -> float:
-    """Sum of squared cells; equals ``dot(rvec(x), rvec(x))``."""
-    v = rvec(x)
-    return float(v @ v)
-
-
-def distance(x1, x2) -> float:
-    """Euclidean distance ``sqrt(sq_norm(x1 - x2))``; requires equal shapes."""
-    a1, a2 = as_array(x1), as_array(x2)
-    if a1.shape != a2.shape:
-        raise ValueError(f"shape mismatch: {a1.shape} vs {a2.shape}")
-    return math.sqrt(sq_norm(a1 - a2))
-
-
-def fiber(x, mode, fixed) -> np.ndarray:
-    """Extract the mode-``mode`` fiber of ``x`` at the given fixed indices.
-
-    ``mode`` is 1-based; ``fixed`` lists the 1-based indices of the other
-    modes in increasing mode order.  The result has length ``m_mode``.
-    """
-    a = as_array(x)
-    if not 1 <= mode <= a.ndim:
-        raise IndexError(f"mode {mode} out of range 1..{a.ndim}")
-    fixed = tuple(int(j) for j in fixed)
-    if len(fixed) != a.ndim - 1:
-        raise IndexError(f"expected {a.ndim - 1} fixed indices for a {a.ndim}-way array, got {len(fixed)}")
-    key = []
-    it = iter(fixed)
-    for k in range(1, a.ndim + 1):
-        if k == mode:
-            key.append(slice(None))
-            continue
-        j = next(it)
-        if not 1 <= j <= a.shape[k - 1]:
-            raise IndexError(f"mode {k}: index {j} out of range 1..{a.shape[k - 1]}")
-        key.append(j - 1)
-    return a[tuple(key)].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ mode, in mode order); arrays as ARRV1 files.  Every command is a pure
 function of its arguments, input files and seed, so identical invocations
 produce byte-identical outputs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or format error,
-3 numerical error (singular factor, rank-deficient mode, arithmetic overflow).
+Exit codes: 0 success, 1 verification failure, 2 usage or format error or
+not enough memory, 3 numerical error (singular factor, rank-deficient mode,
+arithmetic overflow).
 
 Examples::
 
@@ -36,6 +37,9 @@ from .verify import run_suite, skipped_checks
 
 VERIFY_MIN_SAMPLES = 10_000
 
+# the --kernel choices, each with the kernel it builds from --df
+KERNELS = {"normal": lambda df: Kernel.normal(), "t": Kernel.student_t, "cauchy": lambda df: Kernel.cauchy()}
+
 
 class UsageError(ValueError):
     pass
@@ -57,7 +61,7 @@ def _build_kernel(args) -> Kernel:
             raise UsageError("--kernel t requires --df")
     elif args.df is not None:
         raise UsageError(f"--df is only valid with --kernel t, not {args.kernel}")
-    return Kernel.from_name(args.kernel, args.df)
+    return KERNELS[args.kernel](args.df)
 
 
 def _build_model(args) -> KroneckerModel:
@@ -162,7 +166,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_model=True):
-        p.add_argument("--kernel", choices=("normal", "t", "cauchy"), default="normal",
+        p.add_argument("--kernel", choices=tuple(KERNELS), default="normal",
                        help="spherical kernel family (default: normal)")
         p.add_argument("--df", type=float, default=None, help="degrees of freedom; required iff --kernel t")
         if needs_model:
@@ -226,6 +230,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, IndexError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an --n or --steps too large to allocate
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
 
 

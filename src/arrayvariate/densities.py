@@ -75,17 +75,6 @@ class Kernel:
     def custom(log_profile, log_normalizer):
         return CustomKernel(log_profile, log_normalizer)
 
-    @staticmethod
-    def from_name(name, df=None):
-        """Build a kernel from its command-line name: normal, t or cauchy."""
-        if name == "normal":
-            return Kernel.normal()
-        if name == "t":
-            return Kernel.student_t(df)
-        if name == "cauchy":
-            return Kernel.cauchy()
-        raise ValueError(f"unknown kernel {name!r}")
-
     def __repr__(self):
         return f"Kernel.{self.name}()"
 
@@ -264,7 +253,7 @@ def log_kernel_pdf(kernel, t, k):
     k-variate spherical law at any point x with ``x'x == t``.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # nan fails this test too
         raise ValueError("squared radius t must be >= 0")
     out = kernel.log_profile(t, _check_dimension(k))
     return out if out.ndim else float(out)
@@ -278,7 +267,7 @@ def radial_pdf(kernel, r, k):
     space (:meth:`Kernel.log_radial_pdf`), so it stays finite in any dimension.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not np.all(r >= 0):  # nan fails this test too
         raise ValueError("radius r must be >= 0")
     out = np.exp(kernel.log_radial_pdf(r, _check_dimension(k)))
     return out if out.ndim else float(out)
@@ -316,7 +305,7 @@ class KroneckerModel:
             if not np.isfinite(inv).all():
                 raise SingularMatrixError(f"mode {j}: factor's inverse is not finite")
             inv_factors.append(inv)
-            # inverse ran the pivot test, so this is linalg.logabsdet without a second one
+            # _inverse has run the pivot test on f, so slogdet needs no test of its own
             log_jac += (mean.size // mj) * float(np.linalg.slogdet(f)[1])
         self.mean = mean
         self.factors = tuple(factors)

@@ -1,12 +1,12 @@
-"""Small dense matrix kernel: pivot-checked inverses and log-determinants, and
-the left inverse ``(A'A)^{-1}A'`` used by least squares.
+"""Small dense matrix kernel: pivot-checked inverses, and the left inverse
+``(A'A)^{-1}A'`` used by least squares.
 
 Everything here targets the tiny per-mode factors of a Kronecker model.  A
 square matrix is accepted when its LU factorization with partial pivoting
 passes a scale-invariant pivot-ratio test; the pivots come from a short numpy
 elimination (one row swap and one rank-1 update per column), and the inverse
-and log-determinant then come from ``numpy.linalg``.  The left inverse
-applies the same ratio test to the pivots of the Cholesky factor of ``A'A``.
+then comes from ``numpy.linalg``.  The left inverse applies the same ratio
+test to the pivots of the Cholesky factor of ``A'A``.
 Only numpy is used, so importing this module loads no scipy.  Matrices are
 2-D float64 ndarrays with finite entries: ``as_matrix`` rejects any other
 with a ``ValueError`` naming the first non-finite entry.
@@ -67,13 +67,6 @@ def _checked_lu(a):
             lu[k + 1:, k + 1:] -= np.multiply.outer(lu[k + 1:, k] / lu[k, k], lu[k, k + 1:])
     if min(pivots) < PIVOT_RTOL * max(pivots):
         raise _singular()
-
-
-def logabsdet(a) -> float:
-    """log |det A|; raises :class:`SingularMatrixError` when A fails the pivot test."""
-    a = _square(a)
-    _checked_lu(a)
-    return float(np.linalg.slogdet(a)[1])
 
 
 def inverse(a) -> np.ndarray:

@@ -341,9 +341,17 @@ def chain_trace(factors) -> float:
     return out
 
 
+def sq_norm(x) -> float:
+    """Sum of squared cells; equals ``dot(rvec(x), rvec(x))``."""
+    from arrayvariate.array_core import rvec
+
+    v = rvec(x)
+    return float(v @ v)
+
+
 def lstsq_residual(maps, y, x) -> float:
     """Squared residual norm ``||y - r_multiply(maps, x)||^2``."""
-    from arrayvariate.array_core import as_array, sq_norm
+    from arrayvariate.array_core import as_array
     from arrayvariate.multilinear import r_multiply
 
     return sq_norm(as_array(y) - r_multiply(maps, x))

@@ -17,7 +17,7 @@ from arrayvariate import linalg
 from arrayvariate import multilinear as ml
 from arrayvariate import sampling as sp
 from arrayvariate import verify as vf
-from arrayvariate.array_core import rvec, sq_norm, write_arrays
+from arrayvariate.array_core import rvec, write_arrays
 from arrayvariate.linalg import write_matrix
 from support import (
     chain_trace,
@@ -26,6 +26,7 @@ from support import (
     monolinear_equiv_check,
     random_model,
     random_shape,
+    sq_norm,
     to_monolinear,
     well_conditioned,
     with_kernel,

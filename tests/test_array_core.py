@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -9,43 +7,6 @@ from support import dump_array, read_arrays
 
 # (X)11=1, (X)21=3, (X)12=2, (X)22=4
 X22 = np.array([[1.0, 2.0], [3.0, 4.0]])
-
-
-class TestLinearIndex:
-    def test_hand_enumerated_2x2(self):
-        assert ac.linear_index((2, 1), (2, 2)) == 2
-        assert ac.linear_index((1, 2), (2, 2)) == 3
-        assert ac.linear_index((1, 1), (2, 2)) == 1
-        assert ac.linear_index((2, 2), (2, 2)) == 4
-
-    def test_one_mode_identity(self):
-        for k in range(1, 8):
-            assert ac.linear_index((k,), (7,)) == k
-
-    def test_out_of_range_names_mode(self):
-        with pytest.raises(IndexError, match="mode 2"):
-            ac.linear_index((1, 3), (2, 2))
-        with pytest.raises(IndexError, match="mode 1"):
-            ac.linear_index((0, 1), (2, 2))
-
-    def test_wrong_arity(self):
-        with pytest.raises(IndexError):
-            ac.linear_index((1, 1), (2, 2, 2))
-
-    def test_exhaustive_bijection_small_shapes(self):
-        # every shape with order <= 4 and dims <= 6, plus orders 5..6 with
-        # dims <= 3, filtered to m <= 720
-        families = [(order, 7) for order in range(1, 5)] + [(5, 4), (6, 4)]
-        for order, dim_stop in families:
-            for dims in itertools.product(range(1, dim_stop), repeat=order):
-                m = int(np.prod(dims))
-                if m > 720:
-                    continue
-                seen = sorted(
-                    ac.linear_index(tuple(j + 1 for j in idx), dims)
-                    for idx in np.ndindex(dims)
-                )
-                assert seen == list(range(1, m + 1))
 
 
 class TestRvec:
@@ -70,10 +31,11 @@ class TestRvec:
             )
 
     def test_matches_linear_index(self):
+        # the 1-based stacked position of a cell, first index fastest: its Fortran-order flat index + 1
         v = ac.rvec(X22)
         for idx in np.ndindex(2, 2):
-            one_based = tuple(j + 1 for j in idx)
-            assert v[ac.linear_index(one_based, (2, 2)) - 1] == X22[idx]
+            position = np.ravel_multi_index(idx, (2, 2), order="F") + 1
+            assert v[position - 1] == X22[idx]
 
 
 class TestUnrvec:
@@ -103,68 +65,6 @@ class TestUnrvec:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length 3"):
             ac.unrvec(np.zeros(3), (2, 2))
-
-
-class TestNorms:
-    def test_all_ones(self):
-        assert ac.sq_norm(np.ones((2, 2))) == 4.0
-
-    def test_zero(self):
-        assert ac.sq_norm(np.zeros((3, 2))) == 0.0
-
-    def test_hand_value(self):
-        assert ac.sq_norm(ac.unrvec(np.array([1.0, 2.0, 3.0]), (3,))) == 14.0
-
-    def test_equals_dot_of_rvec(self):
-        gen = np.random.default_rng(3)
-        for _ in range(20):
-            x = gen.standard_normal((2, 2, 3))
-            v = ac.rvec(x)
-            assert ac.sq_norm(x) == float(v @ v)
-
-    def test_distance_self(self):
-        assert ac.distance(X22, X22) == 0.0
-
-    def test_distance_hand_value(self):
-        assert ac.distance(np.ones((2, 2)), np.zeros((2, 2))) == 2.0
-
-    def test_distance_symmetric(self):
-        gen = np.random.default_rng(4)
-        x, y = gen.standard_normal((2, 3, 2)), gen.standard_normal((2, 3, 2))
-        assert ac.distance(x, y) == ac.distance(y, x)
-
-    def test_distance_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            ac.distance(np.zeros((2, 2)), np.zeros((2, 3)))
-
-    def test_triangle_inequality(self):
-        gen = np.random.default_rng(5)
-        for _ in range(200):
-            x, y, z = (gen.standard_normal((2, 2, 2)) for _ in range(3))
-            lhs = ac.distance(x, z)
-            rhs = ac.distance(x, y) + ac.distance(y, z)
-            assert lhs <= rhs * (1 + 1e-12)
-
-
-class TestFiber:
-    def test_mode1_fixed_second(self):
-        assert ac.fiber(X22, 1, (2,)).tolist() == [2.0, 4.0]
-
-    def test_mode2_fixed_first(self):
-        assert ac.fiber(X22, 2, (2,)).tolist() == [3.0, 4.0]
-
-    def test_one_mode_whole_data(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert ac.fiber(v, 1, ()).tolist() == v.tolist()
-
-    def test_zero_array(self):
-        assert ac.fiber(np.zeros((2, 3)), 2, (1,)).tolist() == [0.0, 0.0, 0.0]
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError, match="mode 2"):
-            ac.fiber(X22, 1, (3,))
-        with pytest.raises(IndexError, match="mode"):
-            ac.fiber(X22, 3, (1,))
 
 
 class TestArrv1:

@@ -461,11 +461,36 @@ class TestRadial:
         # the table is one vectorized radial_pdf call; each line must carry the scalar call's value
         steps = 200
         assert run_cli("radial", *kernel, "--n", n, "--rmax", rmax, "--steps", steps) == 0
-        k = Kernel.from_name(kernel[1], float(kernel[3]) if len(kernel) > 2 else None)
+        k = cli.KERNELS[kernel[1]](float(kernel[3]) if len(kernel) > 2 else None)
         expected = "".join(
             f"{r:.17g} {radial_pdf(k, r, n):.17g}\n" for r in (rmax * j / steps for j in range(steps + 1))
         )
         assert capsys.readouterr().out == expected
+
+
+class TestNotEnoughMemory:
+    """A size too large to allocate is a usage error, exit 2, with no traceback.
+
+    Every size here asks for more than 2**47 bytes, which numpy fails to
+    allocate before it touches a page."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sample", "--factor", "{a2}", "--factor", "{a3}", "--n", 10**14, "--out", "{out}"], id="sample"),
+        pytest.param(["radial", "--n", 3, "--rmax", 5, "--steps", 10**15, "--out", "{out}"], id="radial"),
+        pytest.param(["verify", "--factor", "{a2}", "--n", 10**14, "--out", "{out}"], id="verify"),
+    ])
+    def test_exits_2_without_traceback(self, tmp_path, argv):
+        paths = {"a2": tmp_path / "a2.mat", "a3": tmp_path / "a3.mat", "out": tmp_path / "out.txt"}
+        write_matrix(np.eye(2), paths["a2"])
+        write_matrix(np.eye(3), paths["a3"])
+        result = subprocess.run(
+            [sys.executable, "-m", "arrayvariate.cli", *(str(a).format(**paths) for a in argv)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: not enough memory: ")
+        assert "Traceback" not in result.stderr
+        assert not paths["out"].exists()
 
 
 class TestParserReuse:

@@ -145,6 +145,24 @@ class TestOverflow:
         raises_without_warning(lambda: dn.standardize(m, np.full(SHAPE, 1e308)), OverflowError, "array: its")
 
 
+# the kernel entries that take a squared radius or a radius, and the message
+# prefix for an argument that is nan or negative
+KERNELS = {"normal": dn.Kernel.normal(), "t5": dn.Kernel.student_t(5.0)}
+SCALARS = {
+    "log_kernel_pdf": (dn.log_kernel_pdf, "squared radius t must be >= 0"),
+    "radial_pdf": (dn.radial_pdf, "radius r must be >= 0"),
+}
+
+
+class TestScalarArguments:
+    @pytest.mark.parametrize("value", [np.nan, -1.0, [1.0, np.nan]], ids=["nan", "-1", "array-with-nan"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("entry", sorted(SCALARS))
+    def test_raises_value_error(self, entry, kernel, value):
+        call, prefix = SCALARS[entry]
+        raises_without_warning(lambda: call(KERNELS[kernel], value, 3), ValueError, prefix)
+
+
 class TestFiniteAnswers:
     def test_finite_inputs_still_give_finite_answers(self):
         x = np.arange(6.0).reshape(SHAPE)

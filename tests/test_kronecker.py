@@ -68,7 +68,7 @@ class TestChainDet:
     def test_two_factor_example(self):
         fs = [np.diag([2.0, 3.0]), np.diag([1.0, 2.0])]
         assert model_log_jac(fs) == pytest.approx(math.log(144.0), rel=1e-14)
-        assert linalg.logabsdet(kr.inv_kron_chain(fs)) == pytest.approx(math.log(144.0), rel=1e-12)
+        assert np.linalg.slogdet(kr.inv_kron_chain(fs))[1] == pytest.approx(math.log(144.0), rel=1e-12)
 
     def test_identities(self):
         assert model_log_jac([np.eye(2), np.eye(3), np.eye(2)]) == 0.0
@@ -78,7 +78,7 @@ class TestChainDet:
         fs = [np.diag([1.0, 2.0]), np.diag([1.0, 1.0, 3.0]), np.diag([1.0, 5.0])]
         expected = 6 * math.log(2.0) + 4 * math.log(3.0) + 6 * math.log(5.0)
         assert model_log_jac(fs) == pytest.approx(expected, rel=1e-14)
-        assert linalg.logabsdet(kr.inv_kron_chain(fs)) == pytest.approx(expected, rel=1e-12)
+        assert np.linalg.slogdet(kr.inv_kron_chain(fs))[1] == pytest.approx(expected, rel=1e-12)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match=r"^mode 1: factor must be 2x2, got 2x3$"):

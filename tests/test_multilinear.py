@@ -17,6 +17,7 @@ from support import (
     r_multiply_oracle,
     random_model,
     random_shape,
+    sq_norm,
     well_conditioned,
 )
 
@@ -244,7 +245,7 @@ class TestLstsq:
             for _ in range(100):
                 delta = gen.standard_normal(xhat.shape)
                 for scale in (1e-3, 1e-1):
-                    step = delta * (scale / np.sqrt(ac.sq_norm(delta)))
+                    step = delta * (scale / np.sqrt(sq_norm(delta)))
                     assert base <= lstsq_residual(maps, y, xhat + step) + 1e-15
 
     def test_gradient_vanishes_at_solution(self):
