@@ -14,7 +14,7 @@ stays 0-based.
 
 import bisect
 import math
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 
 import numpy as np
 
@@ -90,13 +90,13 @@ def check_finite(out, rows, shape, name, result) -> None:
 # template per chunk, and the reader converts a chunk's tokens with one
 # ``map(float, ...)``, so a value token is anything ``float()`` accepts.  When
 # m <= CHUNK, the reader takes the records that repeat the previous record's
-# lines (a writer's run of one shape) up to CHUNK // m at a time, and returns
-# each run of same-shape records as one (k, m) block of rows.
+# lines (a writer's run of one shape) up to CHUNK // m at a time, reading lines
+# as it goes, and hands on each step's records as one (k, m) block of rows.
 # ---------------------------------------------------------------------------
 
-# Values per `%` template when writing and tokens per bulk conversion when
-# reading.  4,096 formats and parses as fast as 65,536 did, and keeps the
-# reader's list of pending token strings near 0.25 MB.
+# Values per `%` template when writing, and per run step of the reader, which
+# converts a step's tokens at once.  4,096 formats and parses as fast as 65,536
+# did, and keeps the reader's list of pending token strings near 0.25 MB.
 CHUNK = 4096
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: lossless float64 round trip
 
@@ -134,83 +134,78 @@ def write_records(header, dims, rows, per_line, write) -> None:
             write(template % tuple(row[start:start + CHUNK].tolist()))
 
 
+def _write_arrays(arrays, write) -> None:
+    for i, (shape, group) in enumerate(groupby(map(as_array, arrays), key=np.shape)):
+        if i:
+            write("\n")
+        write_records("ARRV1", shape, [rvec(a) for a in group], shape[0], write)
+
+
 def dump_arrays(arrays) -> str:
     """Render a sequence of arrays, blank-line separated, one mode-1 fiber per line."""
     out = []
-    for shape, group in groupby(map(as_array, arrays), key=np.shape):
-        if out:
-            out.append("\n")
-        write_records("ARRV1", shape, [rvec(a) for a in group], shape[0], out.append)
+    _write_arrays(arrays, out.append)
     return "".join(out)
 
 
 def write_arrays(arrays, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(dump_arrays(arrays))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _write_arrays(arrays, fh.write)
 
 
-def parse_records(text, source, header, order=None) -> list:
-    """Parse zero or more ``header`` records from ``text`` into ``(dims, rows)`` pairs.
-
-    Each run of consecutive records of one shape gives one pair: ``rows`` is
-    the ``(k, m)`` block of their values, one record per row, in file order.
-    With ``order`` set, every dims line must list exactly that many
-    dimensions.  Raises :class:`FormatError` with ``source:line:`` at the
-    first fault in file order, including a nan or inf value, which counts as
-    found once its record has been read in full.
-    """
-    lines = text.splitlines()
-    n_lines = len(lines)
-    runs = []  # [dims, record count] of every run of same-shape records read in full
-    ends = []  # value-stream end of every record read in full
-    first_lines = []  # first data line of every record begun; records are contiguous in the stream
-    pieces, pending = [], []  # converted chunks of the value stream; tokens not yet converted
+def _records(lines, source, header, order):
+    # parse_records' records in the iterator `lines`, a (dims, rows) block per step once converted
+    window, base = [], 0  # the lines, from line `base` (0-based) on, that the parse may still need
+    origin = 0  # value-stream start of the window's first record, or of what is left of it
+    ends = []  # value-stream end of every record of the window read in full
+    first_lines = []  # first data line in the window of every record begun; records are contiguous in the stream
+    pieces, pending = [], []  # converted values of the current step; tokens not yet converted
     converted = 0
-    nonfinite = None  # value-stream position of the first nan/inf
+    nonfinite = where = None  # value-stream position of the first nan/inf, and its (line number, token)
+
+    def have(ln):  # whether line ln exists; lines are read into the window a few beyond it
+        if ln >= base + len(window):
+            window.extend(islice(lines, ln + 32 - base - len(window)))
+        return ln < base + len(window)
 
     def locate(at):
-        # (line number, token) of the value at stream position `at`; used
-        # only on failure
+        # (line number, token) of the value at stream position `at`, within the window
         k = bisect.bisect_right(ends, at)
-        index, ln = at - (ends[k - 1] if k else 0), first_lines[k]
+        index, ln = at - (ends[k - 1] if k else origin), first_lines[k]
         while True:
-            tokens = lines[ln].split()
+            tokens = window[ln - base].split()
             if index < len(tokens):
                 return ln + 1, tokens[index]
             index -= len(tokens)
             ln += 1
 
     def flush():
-        # Convert the pending tokens CHUNK at a time and report the first fault
-        # among them that comes before the walk's current line: a bad token,
-        # or a nan/inf in a record read in full.
-        nonlocal converted, nonfinite
+        # Convert the pending tokens, at most a step's or about a chunk's, and
+        # report the first fault among them that comes before the walk's
+        # current line: a bad token, or a nan/inf in a record read in full.
+        nonlocal converted, nonfinite, where
         bad = None
-        for a in range(0, len(pending), CHUNK):
-            chunk = pending[a:a + CHUNK]
-            try:
-                values = np.fromiter(map(float, chunk), float, len(chunk))
-            except ValueError:
-                values = []
-                for t in chunk:
-                    try:
-                        values.append(float(t))
-                    except ValueError:
-                        break
-                bad, values = converted + len(values), np.array(values, dtype=float)
-            finite = np.isfinite(values)
-            if nonfinite is None and not finite.all():
-                nonfinite = converted + int(np.argmin(finite))
-            pieces.append(values)
-            converted += len(values)
-            if bad is not None:
-                break
+        try:
+            values = np.fromiter(map(float, pending), float, len(pending))
+        except ValueError:
+            values = []
+            for t in pending:
+                try:
+                    values.append(float(t))
+                except ValueError:
+                    break
+            bad, values = converted + len(values), np.array(values, dtype=float)
+        finite = np.isfinite(values)
+        if nonfinite is None and not finite.all():
+            nonfinite = converted + int(np.argmin(finite))
+            where = locate(nonfinite)  # its record may end after its lines have left the window
+        pieces.append(values)
+        converted += len(values)
         pending.clear()
         if nonfinite is not None:
             k = bisect.bisect_right(ends, nonfinite)
             if k < len(ends) and (bad is None or ends[k] <= bad):
-                ln, token = locate(nonfinite)
-                raise FormatError(f"{source}:{ln}: non-finite value {token!r}")
+                raise FormatError(f"{source}:{where[0]}: non-finite value {where[1]!r}")
         if bad is not None:
             ln, token = locate(bad)
             raise FormatError(f"{source}:{ln}: bad numeric token {token!r}")
@@ -227,11 +222,18 @@ def parse_records(text, source, header, order=None) -> list:
     # and drops to 1 after the line walk.
     last, counts, take = None, [], 1
     while True:
-        while lineno < n_lines and not lines[lineno].strip():
+        if pending or pieces:
+            # the last step's records are read in full
+            flush()
+            yield dims, (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(-1, m)
+            cut = lineno if last is None else last
+            del window[:cut - base]
+            base, origin, ends, first_lines, pieces = cut, converted, [], [], []
+        while have(lineno) and not window[lineno - base].strip():
             lineno += 1
-        if lineno >= n_lines:
+        if lineno >= base + len(window):
             break
-        if last is not None and lineno + 1 < n_lines and lines[lineno + 1] == dims_text:
+        if last is not None and have(lineno + 1) and window[lineno + 1 - base] == dims_text:
             # Take the next records in one step when each repeats the last
             # record's lines: its header, dims and separator lines verbatim,
             # and its token count on every data line.  Anything else is left
@@ -239,52 +241,49 @@ def parse_records(text, source, header, order=None) -> list:
             # whose dims line differs (another shape, or other spacing) skips
             # the attempt, which costs more than walking a small record.
             period = lineno - last
-            fixed = [(j, lines[last + j]) for j in (0, 1, *range(2 + len(counts), period))]
-            k = min(take, (n_lines - lineno) // period)
-            seg = lines[lineno:lineno + k * period]
+            fixed = [(j, window[last + j - base]) for j in (0, 1, *range(2 + len(counts), period))]
+            have(lineno + take * period - 1)
+            k = min(take, (base + len(window) - lineno) // period)
+            seg = window[lineno - base:lineno - base + k * period]
             if k and all(seg[j::period] == [line] * k for j, line in fixed):
                 columns = [seg[j::period] for j in range(2, 2 + len(counts))]
                 tokens = list(map(str.split, chain.from_iterable(zip(*columns))))
                 if list(map(len, tokens)) == counts * k:
-                    start = converted + len(pending)
                     first_lines += range(lineno + 2, lineno + k * period, period)
-                    ends += range(start + m, start + k * m + 1, m)
+                    ends += range(converted + m, converted + k * m + 1, m)
                     pending += chain.from_iterable(tokens)
-                    runs[-1][1] += k
                     last = lineno + (k - 1) * period
                     lineno += k * period
                     take = min(2 * take, CHUNK // m)
-                    if len(pending) >= CHUNK:
-                        flush()
                     continue
         head = lineno
-        got = lines[lineno].strip()
+        got = window[lineno - base].strip()
         if got != header:
             fail(lineno + 1, f"expected {header} header, got {got!r}")
         lineno += 1
-        if lineno >= n_lines:
+        if not have(lineno):
             fail(lineno, "missing dims line")
-        if lines[lineno] != dims_text:
-            dims_line = lines[lineno].split()
+        if window[lineno - base] != dims_text:
+            dims_line = window[lineno - base].split()
             if not dims_line or dims_line[0] != "dims":
                 fail(lineno + 1, "expected 'dims m1 m2 ...' line")
             try:
                 dims = tuple(int(t) for t in dims_line[1:])
             except ValueError:
-                fail(lineno + 1, f"non-integer dimension in {lines[lineno].strip()!r}")
+                fail(lineno + 1, f"non-integer dimension in {window[lineno - base].strip()!r}")
             if len(dims) < 1 or any(d < 1 for d in dims):
                 fail(lineno + 1, f"invalid dims {dims}")
             if order is not None and len(dims) != order:
                 fail(lineno + 1, f"expected {order} dims, got {len(dims)}")
-            dims_text, m = lines[lineno], shape_size(dims)
+            dims_text, m = window[lineno - base], shape_size(dims)
         lineno += 1
         first_lines.append(lineno)
         counts = []
         read = 0
         while read < m:
-            if lineno >= n_lines:
-                fail(n_lines, f"unexpected end of input: got {read} of {m} values")
-            tokens = lines[lineno].split()
+            if not have(lineno):
+                fail(base + len(window), f"unexpected end of input: got {read} of {m} values")
+            tokens = window[lineno - base].split()
             if not tokens and not read:
                 fail(lineno + 1, "blank line before any data values")
             if len(tokens) > m - read:
@@ -294,23 +293,27 @@ def parse_records(text, source, header, order=None) -> list:
             counts.append(len(tokens))
             read += len(tokens)
             lineno += 1
-            if len(pending) >= CHUNK:
+            if len(pending) >= CHUNK and read < m:
+                # a record of more than CHUNK values: convert what it has so far, and let its lines go
                 flush()
-        if runs and runs[-1][0] == dims:
-            runs[-1][1] += 1
-        else:
-            runs.append([dims, 1])
+                del window[:lineno - base]
+                base, origin, first_lines = lineno, converted, [lineno]
         ends.append(converted + len(pending))
         last, take = (head if m <= CHUNK else None), 1
-    flush()
-    lines.clear()  # free the text's lines before the value stream is joined
-    stream = pieces[0] if len(pieces) == 1 else np.concatenate(pieces or [np.empty(0)])
-    blocks, start = [], 0
-    for dims, k in runs:
-        end = start + k * math.prod(dims)
-        blocks.append((dims, stream[start:end].reshape(k, -1)))
-        start = end
-    return blocks
+
+
+def parse_records(text, source, header, order=None) -> list:
+    """Parse zero or more ``header`` records from ``text`` into ``(dims, rows)`` pairs.
+
+    Each run of consecutive records of one shape gives one pair: ``rows`` is
+    the ``(k, m)`` block of their values, one record per row, in file order.
+    With ``order`` set, every dims line must list exactly that many
+    dimensions.  Raises :class:`FormatError` with ``source:line:`` at the
+    first fault in file order, including a nan or inf value, which counts as
+    found once its record has been read in full.
+    """
+    blocks = _records(iter(text.splitlines()), source, header, order)
+    return [(dims, np.concatenate([rows for _, rows in run])) for dims, run in groupby(blocks, key=lambda b: b[0])]
 
 
 def parse_arrays(text, source="<string>") -> list:
@@ -324,11 +327,12 @@ def parse_arrays(text, source="<string>") -> list:
             for a in rows.reshape(-1, *dims[::-1]).transpose(0, *range(len(dims), 0, -1))]
 
 
-def read_records(path, header, order=None) -> list:
-    """:func:`parse_records` on the text of the file at ``path``."""
-    with open(path) as fh:
-        text = fh.read()
-    return parse_records(text, str(path), header, order)
+def read_records(path, header, order=None):
+    """Yield the records of the file at ``path`` in ``(dims, rows)`` blocks of one step each, as they are read."""
+    with open(path, "rb") as fh:  # decoded a block of whole lines at a time: no "\r\n" or UTF-8 sequence is split
+        blocks = (b if b.endswith(b"\n") else b + fh.readline() for b in iter(lambda: fh.read(1 << 16), b""))
+        texts = (b.decode("utf-8", "surrogateescape") for b in blocks)  # a byte that is not UTF-8 makes a bad token
+        yield from _records(chain.from_iterable(map(str.splitlines, texts)), str(path), header, order)
 
 
 def only_record(runs, source, noun) -> tuple:
@@ -345,5 +349,5 @@ def only_record(runs, source, noun) -> tuple:
 
 def read_array(path) -> np.ndarray:
     """Read a file expected to hold exactly one ARRV1 array."""
-    dims, values = only_record(read_records(path, "ARRV1"), path, "array")
+    dims, values = only_record(list(read_records(path, "ARRV1")), path, "array")
     return unrvec(values, dims)

@@ -21,17 +21,19 @@ Examples::
 
 import argparse
 import contextlib
+from collections import deque
 import functools
 import math
+import re
 import sys
 
 import numpy as np
 
-from .array_core import FLOAT_FORMAT, dump_arrays, read_array, read_records, unrvec, write_records
+from .array_core import FLOAT_FORMAT, read_array, read_records, rvec, write_records
 from .densities import Kernel, KroneckerModel, logpdf_elliptical_rvecs, radial_pdf
 from .errors import FormatError
 from .linalg import read_matrix
-from .multilinear import multilinear_lstsq
+from .multilinear import multilinear_lstsq, row_tiles
 from .sampling import RandomStream, sample_elliptical_rvecs
 from .verify import run_suite, skipped_checks
 
@@ -51,7 +53,7 @@ def _output(out_path):
     if out_path is None:
         yield sys.stdout.write
     else:
-        with open(out_path, "w", newline="\n") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh.write
 
 
@@ -72,14 +74,13 @@ def _build_model(args) -> KroneckerModel:
         if f.shape[0] != f.shape[1]:
             raise UsageError(f"mode {j}: factor file {args.factor[j - 1]} is not square")
     shape = tuple(f.shape[0] for f in factors)
+    mean = np.zeros(shape)
     if args.mean is not None:
         mean = read_array(args.mean)
         if mean.shape != shape:
             raise UsageError(
                 f"mean file {args.mean} has shape {mean.shape}, factors imply {shape}"
             )
-    else:
-        mean = unrvec(np.zeros(int(np.prod(shape))), shape)
     return KroneckerModel(mean, factors, _build_kernel(args))
 
 
@@ -93,19 +94,38 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_density(args) -> int:
-    model = _build_model(args)
-    # a run of same-shape ARRV1 records is a block of rvec'd arrays, one per row
-    runs = [run for path in args.input for run in read_records(path, "ARRV1")]
-    count = 0
-    for dims, block in runs:
+def _tiles(paths, model):
+    """The rows of the ARRV1 files at ``paths``, in the tiles that the engine cuts one batch of them all into."""
+    blocks = (b for path in paths for b in read_records(path, "ARRV1"))
+    held, count = [], 0
+    for dims, block in blocks:
         if dims != model.shape:
+            deque(blocks, maxlen=0)  # read on: a format fault further on is reported first
             raise UsageError(f"array {count + 1}: shape {dims} does not match model shape {model.shape}")
         count += len(block)
-    rows = runs[0][1] if len(runs) == 1 else np.concatenate([block for _, block in runs] or [np.empty((0, model.m))])
-    values = logpdf_elliptical_rvecs(model, rows)
+        held.append(block)
+        *ready, rest = row_tiles(sum(map(len, held)), model.m)  # all but the last tile are cut as in any longer batch
+        if ready:
+            rows = np.concatenate(held)
+            yield from (rows[tile] for tile in ready)
+            held = [rows[rest]]
+    if held:
+        yield np.concatenate(held)
+
+
+def cmd_density(args) -> int:
+    model = _build_model(args)
+    # one engine tile per call, so that every row meets the GEMMs of one call on all rows
+    values, tiles = [], _tiles(args.input, model)
+    for rows in tiles:
+        try:
+            values.append(logpdf_elliptical_rvecs(model, rows))
+        except ArithmeticError as exc:  # it names row k of the tile: name that row among all rows
+            deque(tiles, maxlen=0)  # read on: a format fault or a shape mismatch further on is reported first
+            raise type(exc)(re.sub(r"^row (\d+)", lambda g: f"row {sum(map(len, values)) + int(g[1])}", str(exc)))
     with _output(args.out) as write:
-        write(f"{FLOAT_FORMAT}\n" * values.size % tuple(values.tolist()))
+        for v in values:
+            write(f"{FLOAT_FORMAT}\n" * v.size % tuple(v.tolist()))
     return 0
 
 
@@ -118,7 +138,7 @@ def cmd_lstsq(args) -> int:
     observed = read_array(args.input[0])
     estimate = multilinear_lstsq(maps, observed)
     with _output(args.out) as write:
-        write(dump_arrays([estimate]))
+        write_records("ARRV1", estimate.shape, rvec(estimate)[None, :], estimate.shape[0], write)
     return 0
 
 

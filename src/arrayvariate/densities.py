@@ -85,12 +85,14 @@ class Kernel:
     def log_radial_pdf(self, r, k):
         """Log density of the radius ``r = sqrt(x'x)``: log sphere surface + log f(r^2).
 
-        ``xlogy`` keeps ``k = 1, r = 0`` finite.
+        ``xlogy`` keeps ``k = 1, r = 0`` finite; r = +inf takes the limit 0, not ``inf - inf``.
         """
         from scipy.special import gammaln, xlogy
 
         log_surface = math.log(2.0) + 0.5 * k * math.log(math.pi) - gammaln(0.5 * k)
-        return log_surface + xlogy(k - 1, r) + self.log_profile(r * r, k)
+        at_inf = np.isposinf(r)
+        r = np.where(at_inf, 1.0, r)
+        return np.where(at_inf, -np.inf, log_surface + xlogy(k - 1, r) + self.log_profile(r * r, k))
 
     def radial_cdf(self, r, k):
         """``P(radius <= r)`` in dimension k, elementwise."""

@@ -14,7 +14,7 @@ with a ``ValueError`` naming the first non-finite entry.
 
 import numpy as np
 
-from .array_core import only_record, parse_records, write_records
+from .array_core import only_record, parse_records, read_records, write_records
 from .errors import SingularMatrixError
 
 # Reject a factorization when min |pivot| < PIVOT_RTOL * max |pivot|.
@@ -130,7 +130,7 @@ def dump_matrix(a) -> str:
 
 
 def write_matrix(a, path) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dump_matrix(a))
 
 
@@ -141,6 +141,5 @@ def parse_matrix(text, source="<string>") -> np.ndarray:
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        text = fh.read()
-    return parse_matrix(text, source=str(path))
+    dims, values = only_record(list(read_records(path, "MATV1", order=2)), str(path), "matrix")
+    return values.reshape(dims)

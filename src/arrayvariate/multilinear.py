@@ -61,8 +61,8 @@ def _checked_maps(maps, shape, side=1):
     return ms
 
 
-def _tiles(n, m):
-    # row slices covering range(n); a remainder shorter than 8 rows joins the last tile
+def row_tiles(n, m):
+    """Row slices covering range(n); a remainder shorter than 8 rows joins the last tile."""
     rows = max(8, TILE_BYTES // (8 * max(m, 1)))
     start = 0
     while start < n:
@@ -86,7 +86,7 @@ def map_tiles(maps, shape, n, enter):
     shape = tuple(int(d) for d in shape)
     m = math.prod(shape)
     rows_in = reads_rows(m)
-    for tile in _tiles(n, m):
+    for tile in row_tiles(n, m):
         ufunc, *operands = enter(tile)
         width = tile.stop - tile.start
         block = ufunc(*operands, order="C" if rows_in else "F")

@@ -4,13 +4,16 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
 from arrayvariate import cli, linalg
-from arrayvariate.array_core import parse_arrays, write_arrays
-from arrayvariate.densities import Kernel, radial_pdf
+from arrayvariate import multilinear as ml
+from arrayvariate.array_core import FLOAT_FORMAT, parse_arrays, read_records, write_arrays, write_records
+from arrayvariate.densities import Kernel, KroneckerModel, logpdf_elliptical_rvecs, radial_pdf
 from arrayvariate.linalg import write_matrix
 from support import SCIPY_LINALG, dump_array, read_arrays, well_conditioned
 
@@ -305,6 +308,139 @@ class TestDensity:
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == 7
             assert all(np.isfinite(float(v)) for v in lines)
+
+
+# the benchmark's shapes, each with the kernel its workload uses
+TILED = {"2x3": ((2, 3), ["--kernel", "t", "--df", "5"]), "8x8x8": ((8, 8, 8), ["--kernel", "normal"]),
+         "32x32x16": ((32, 32, 16), ["--kernel", "normal"])}
+
+
+def write_rows(path, shape, rows):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_records("ARRV1", shape, rows, shape[0], fh.write)
+
+
+def density_model(tmp_path, shape, kernel, seed):
+    """Factor and mean files for ``shape``, their CLI flags, and the model they give."""
+    gen = np.random.default_rng(seed)
+    flags, factors = [*kernel], []
+    for j, d in enumerate(shape, start=1):
+        factors.append(well_conditioned(gen, d))
+        write_matrix(factors[-1], tmp_path / f"a{j}.mat")
+        flags += ["--factor", tmp_path / f"a{j}.mat"]
+    mean = gen.standard_normal(shape)
+    write_arrays([mean], tmp_path / "mean.arr")
+    kernel = Kernel.student_t(5.0) if "t" in kernel else Kernel.normal()
+    return [*flags, "--mean", tmp_path / "mean.arr"], KroneckerModel(mean, factors, kernel)
+
+
+class TestDensityInTiles:
+    """CLI density reads its inputs a step at a time and evaluates one engine
+    tile per call, so every row must meet the same tile, and give the same
+    bytes, as in one call on the whole stacked input."""
+
+    @staticmethod
+    def tile_sizes(n, tile):
+        # whole tiles while at least 8 rows would be left over, then the rest
+        sizes = []
+        while n >= tile + 8:
+            sizes.append(tile)
+            n -= tile
+        return sizes + [n] if n else sizes
+
+    @pytest.mark.parametrize("case", sorted(TILED))
+    def test_bytes_match_one_call_on_all_rows(self, tmp_path, monkeypatch, case):
+        shape, kernel = TILED[case]
+        flags, model = density_model(tmp_path, shape, kernel, 404)
+        tile = max(8, ml.TILE_BYTES // (8 * model.m))
+        calls = []
+        monkeypatch.setattr(cli, "logpdf_elliptical_rvecs", lambda m, rows: calls.append(len(rows)) or
+                            logpdf_elliptical_rvecs(m, rows))
+        gen = np.random.default_rng(405)
+        for n in (tile - 1, tile, tile + 1, tile + 7, 3 * tile + 5):
+            rows = model.mean.ravel(order="F") + gen.standard_normal((n, model.m))
+            split = n // 3 + 1  # the first input ends inside a tile
+            write_rows(tmp_path / "one.arr", shape, rows[:split])
+            write_rows(tmp_path / "two.arr", shape, rows[split:])
+            out = tmp_path / "density.txt"
+            calls.clear()
+            assert run_cli("density", *flags, "--input", tmp_path / "one.arr", "--input", tmp_path / "two.arr",
+                           "--out", out) == 0
+            assert calls == self.tile_sizes(n, tile)
+            values = logpdf_elliptical_rvecs(model, rows)
+            assert out.read_bytes() == (f"{FLOAT_FORMAT}\n" * n % tuple(values.tolist())).encode(), n
+
+
+class TestDensityFaultOrder:
+    """A format fault in any input is reported before a shape mismatch, and a
+    shape mismatch before a numerical error, wherever each lies; a run with a
+    fault writes nothing."""
+
+    ROWS, OVERFLOW = 80, 70  # rows of 8x8x8 arrays; the one whose squared norm overflows
+
+    def run(self, tmp_path, capsys, *parts):
+        inp, out = tmp_path / "x.arr", tmp_path / "density.txt"
+        inp.write_text("\n".join(parts), encoding="utf-8")
+        eye = tmp_path / "eye.mat"
+        write_matrix(np.eye(8), eye)
+        code = run_cli("density", *["--factor", eye] * 3, "--input", inp, "--out", out)
+        assert not out.exists()
+        return code, capsys.readouterr().err.splitlines()[0]
+
+    def test_format_fault_then_shape_mismatch_then_numerical_error(self, tmp_path, capsys):
+        rows = np.ones((self.ROWS, 512))
+        rows[self.OVERFLOW] = 1e200
+        numerical = "".join(dump_array(r.reshape((8, 8, 8), order="F")) + "\n" for r in rows)
+        mismatch = dump_array(np.zeros((2, 2)))
+        form = "ARRV1\ndims 2\n1 x\n"
+        at = "\n".join((numerical, mismatch, form)).splitlines().index("1 x") + 1
+        assert self.run(tmp_path, capsys, numerical, mismatch, form) == \
+            (2, f"error: {tmp_path / 'x.arr'}:{at}: bad numeric token 'x'")
+        assert self.run(tmp_path, capsys, numerical, mismatch) == \
+            (2, f"error: array {self.ROWS + 1}: shape (2, 2) does not match model shape (8, 8, 8)")
+        assert self.run(tmp_path, capsys, numerical) == \
+            (3, f"numerical error: row {self.OVERFLOW}: its squared norm overflows in floating point")
+
+
+class TestBoundedMemory:
+    """The reader and CLI density hold about a chunk of lines and values and a
+    tile of rows, whatever the size of the file.  On 8x8x8 files of 100 and
+    1,000 arrays (1 and 10 MB), reading the whole text first peaked at 3.6 and
+    29.3 MB traced, and density at 3.8 and 29.3 MB.  Read a step at a time,
+    the reader peaks near 1.1 MB and density near 2.1 MB at both sizes."""
+
+    BOUND = 3e6  # bytes, beyond the n output values
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("memory")
+        flags, model = density_model(tmp_path, (8, 8, 8), ["--kernel", "normal"], 406)
+        gen = np.random.default_rng(407)
+        paths = {}
+        for n in (100, 1000):
+            paths[n] = tmp_path / f"x{n}.arr"
+            write_rows(paths[n], (8, 8, 8), model.mean.ravel(order="F") + gen.standard_normal((n, 512)))
+        return flags, paths, tmp_path / "density.txt"
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_reader_peak_does_not_grow_with_the_file(self, files, n):
+        _, paths, _ = files
+        assert self.peak(lambda: deque(read_records(paths[n], "ARRV1"), maxlen=0)) < self.BOUND
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_density_peak_beyond_its_values_does_not_grow_with_the_file(self, files, n):
+        flags, paths, out = files
+        assert self.peak(lambda: run_cli("density", *flags, "--input", paths[n], "--out", out)) - 8 * n < self.BOUND
+        assert len(out.read_text().split()) == n
 
 
 class TestLstsq:
@@ -714,6 +850,31 @@ class TestEntryPoint:
         assert "scipy.special" in loaded
         assert "scipy.stats" not in loaded
         assert len((tmp_path / "density.txt").read_text().split()) == 5
+
+    # Runs cli.main on each argv list in a fresh interpreter in which an open()
+    # that would take the locale's encoding raises, then prints the exit codes.
+    ENCODING_PROBE = (
+        "import json, sys\n"
+        "from arrayvariate import cli\n"
+        "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+
+    def test_every_file_is_opened_as_utf8(self, tmp_path, model_files):
+        f1, f2, mean = model_files
+        model = ["--factor", f1, "--factor", f2, "--mean", mean]
+        argvs = [
+            ["sample", *model, "--n", 5, "--seed", 3, "--out", tmp_path / "draws.arr"],
+            ["density", *model, "--input", tmp_path / "draws.arr", "--out", tmp_path / "density.txt"],
+            ["lstsq", "--factor", f1, "--factor", f2, "--input", mean, "--out", tmp_path / "estimate.arr"],
+            ["radial", "--n", 2, "--rmax", 1, "--steps", 2, "--out", tmp_path / "radial.txt"],
+        ]
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c",
+             self.ENCODING_PROBE, json.dumps([[str(a) for a in argv] for argv in argvs])],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [0, 0, 0, 0]
 
     def test_arithmetic_error_exits_3(self, monkeypatch, capsys):
         def overflow(kernel, r, k):

@@ -7,7 +7,11 @@ inputs.
 """
 
 import math
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -355,3 +359,125 @@ class TestRuns:
         text = linalg.dump_matrix(np.eye(2)) + "\n" + linalg.dump_matrix(np.eye(2))
         with pytest.raises(FormatError, match=r"^m\.mat:1: expected exactly one matrix, found 2$"):
             linalg.parse_matrix(text, "m.mat")
+
+
+# --- file reader ----------------------------------------------------------
+
+# every line break that str.splitlines knows, "\r\n" as one
+SEPARATORS = ["\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\n", "\r"]
+
+
+def merged(blocks):
+    """``(dims, value bytes)`` per run of same-shape records, from blocks in file order."""
+    return [(dims, np.concatenate([rows for _, rows in run]).tobytes())
+            for dims, run in groupby(blocks, key=lambda block: block[0])]
+
+
+def file_outcome(path, header, order):
+    """The merged records of ``read_records`` on ``path``, or the FormatError message."""
+    try:
+        blocks = list(array_core.read_records(path, header, order))
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+    for dims, rows in blocks:  # a block is one step: a run step, or one record
+        assert 1 <= len(rows) <= max(1, array_core.CHUNK // math.prod(dims))
+    return merged(blocks)
+
+
+def text_outcome(text, source, header, order):
+    try:
+        return merged(array_core.parse_records(text, source, header, order))
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@pytest.fixture(scope="module")
+def file_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec")
+
+
+class TestFileReader:
+    """``read_records`` reads a file line by line; it must give what
+    ``parse_records`` gives on the file's text, under any line break."""
+
+    @settings(max_examples=500)
+    @given(st.sampled_from(["ARRV1", "MATV1"]), st.booleans(), st.data(), CHUNKS)
+    def test_file_and_text_agree(self, file_dir, header, runs, data, chunk):
+        lines = data.draw(record_texts(header, runs)).split("\n")
+        breaks = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + sep for line, sep in zip(lines, breaks))[:data.draw(st.sampled_from([None, -1]))]
+        path = file_dir / "records.txt"
+        path.write_bytes(text.encode("utf-8"))
+        order = 2 if header == "MATV1" else None
+        with chunk_size(chunk):
+            assert file_outcome(path, header, order) == text_outcome(text, str(path), header, order)
+
+    def test_large_file_matches_text(self, file_dir):
+        # long enough that the reader reads the file in several blocks of lines
+        gen = np.random.default_rng(40)
+        arrays = [gen.standard_normal((2, 3)) for _ in range(3000)] + [gen.standard_normal((40, 30))] * 3
+        path = file_dir / "large.arr"
+        array_core.write_arrays(arrays, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == array_core.dump_arrays(arrays)
+        assert file_outcome(path, "ARRV1", None) == text_outcome(text, str(path), "ARRV1", None)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"ARRV1\ndims 2\n1 \xff\n", "3: bad numeric token '\\udcff'"),
+        (b"ARRV1\ndims 2\n1 2\xc3\n", "3: bad numeric token '2\\udcc3'"),
+        (b"ARRV1\ndims \xe9\n1 2\n", "2: non-integer dimension in 'dims \\udce9'"),
+        (b"\xfeARRV1\ndims 2\n1 2\n", "1: expected ARRV1 header, got '\\udcfeARRV1'"),
+    ])
+    def test_byte_that_is_not_utf8_is_a_format_error(self, file_dir, data, message):
+        path = file_dir / "bad.arr"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as info:
+            list(array_core.read_records(path, "ARRV1"))
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_next_line_separator_parses_under_any_locale(self, file_dir):
+        path = file_dir / "nel.arr"
+        path.write_bytes(b"ARRV1\ndims 2\n1\xc2\x852\n")
+        probe = ("import sys\nfrom arrayvariate.array_core import read_records\n"
+                 "print([rows.tolist() for _, rows in read_records(sys.argv[1], 'ARRV1')])\n")
+        outputs = []
+        for env in ({"LC_ALL": "C", "PYTHONUTF8": "0"}, {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}):
+            result = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True, text=True,
+                                    env={**os.environ, **env})
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs == ["[[[1.0, 2.0]]]\n"] * 2
+
+
+class TestWriters:
+    @settings(max_examples=100)
+    @given(array_lists(), CHUNKS)
+    def test_write_arrays_writes_dump_arrays_in_bounded_pieces(self, file_dir, arrays, chunk):
+        path = file_dir / "written.arr"
+        pieces = []
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, piece):
+                pieces.append(piece)
+                return self.fh.write(piece)
+
+        real_open = open
+        array_core.open = lambda *args, **kwargs: Recording(real_open(*args, **kwargs))
+        try:
+            with chunk_size(chunk):
+                array_core.write_arrays(arrays, path)
+                expected = array_core.dump_arrays(arrays)
+        finally:
+            del array_core.open
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert "".join(pieces) == expected
+        assert all(values_per_piece(p, "ARRV1") <= chunk for p in pieces)

@@ -170,3 +170,14 @@ class TestFiniteAnswers:
         np.testing.assert_array_equal(ml.r_multiply(MAPS, x), x)
         np.testing.assert_array_equal(ml.multilinear_lstsq(MAPS, x), x)
         np.testing.assert_allclose(rvec(dn.standardize(model(), x)), rvec(ml.r_multiply(model().inv_factors, x)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 512])
+    @pytest.mark.parametrize("kernel", [dn.Kernel.normal(), dn.Kernel.student_t(5.0), dn.Kernel.cauchy()],
+                             ids=["normal", "t5", "cauchy"])
+    def test_radial_density_at_infinite_radius_is_zero(self, kernel, k):
+        # (k - 1) log r + log f(r^2) is inf - inf at r = +inf; the density's limit there is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = dn.radial_pdf(kernel, np.array([1.0, np.inf]), k)
+            assert out[1] == 0.0 and dn.radial_pdf(kernel, np.inf, k) == 0.0
+            assert out[0] == dn.radial_pdf(kernel, 1.0, k) and np.isfinite(out[0])
