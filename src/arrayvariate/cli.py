@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .array_core import FLOAT_FORMAT, read_array, read_records, rvec, write_records
+from .array_core import format_rows, read_array, read_records, rvec, write_records
 from .densities import Kernel, KroneckerModel, logpdf_elliptical_rvecs, radial_pdf
 from .errors import FormatError
 from .linalg import read_matrix
@@ -120,12 +120,13 @@ def cmd_density(args) -> int:
     for rows in tiles:
         try:
             values.append(logpdf_elliptical_rvecs(model, rows))
-        except ArithmeticError as exc:  # it names row k of the tile: name that row among all rows
+        except ArithmeticError as exc:  # it names row k of the tile: name that array as _tiles does, 1-based among all
             deque(tiles, maxlen=0)  # read on: a format fault or a shape mismatch further on is reported first
-            raise type(exc)(re.sub(r"^row (\d+)", lambda g: f"row {sum(map(len, values)) + int(g[1])}", str(exc)))
+            raise type(exc)(re.sub(r"^row (\d+)", lambda g: f"array {sum(map(len, values)) + int(g[1]) + 1}", str(exc)))
     with _output(args.out) as write:
         for v in values:
-            write(f"{FLOAT_FORMAT}\n" * v.size % tuple(v.tolist()))
+            for piece in format_rows(v[:, None], "\n"):
+                write(piece)
     return 0
 
 
@@ -170,7 +171,8 @@ def cmd_radial(args) -> int:
     grid = args.rmax * np.arange(args.steps + 1) / args.steps
     table = np.column_stack((grid, radial_pdf(kernel, grid, args.n)))
     with _output(args.out) as write:
-        write(f"{FLOAT_FORMAT} {FLOAT_FORMAT}\n" * len(grid) % tuple(table.ravel().tolist()))
+        for piece in format_rows(table, " \n"):
+            write(piece)
     return 0
 
 

@@ -141,5 +141,5 @@ def parse_matrix(text, source="<string>") -> np.ndarray:
 
 
 def read_matrix(path) -> np.ndarray:
-    dims, values = only_record(list(read_records(path, "MATV1", order=2)), str(path), "matrix")
+    dims, values = only_record(read_records(path, "MATV1", order=2), str(path), "matrix")
     return values.reshape(dims)

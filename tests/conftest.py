@@ -4,6 +4,7 @@ Hypothesis's other cache, constants mined from the source at collection, goes
 to a temporary directory removed at exit, so the suite writes nothing into the
 checkout."""
 
+import atexit
 import tempfile
 
 from hypothesis import settings
@@ -13,4 +14,5 @@ settings.register_profile("deterministic", derandomize=True, database=None, dead
 settings.load_profile("deterministic")
 
 _storage = tempfile.TemporaryDirectory(prefix="hypothesis-")
+atexit.register(_storage.cleanup)  # removed explicitly: an implicit cleanup warns, an error under -W error
 set_hypothesis_home_dir(_storage.name)

@@ -12,8 +12,9 @@ import pytest
 
 from arrayvariate import cli, linalg
 from arrayvariate import multilinear as ml
-from arrayvariate.array_core import FLOAT_FORMAT, parse_arrays, read_records, write_arrays, write_records
+from arrayvariate.array_core import FLOAT_FORMAT, parse_arrays, read_array, read_records, write_arrays, write_records
 from arrayvariate.densities import Kernel, KroneckerModel, logpdf_elliptical_rvecs, radial_pdf
+from arrayvariate.errors import FormatError
 from arrayvariate.linalg import write_matrix
 from support import SCIPY_LINALG, dump_array, read_arrays, well_conditioned
 
@@ -399,7 +400,7 @@ class TestDensityFaultOrder:
         assert self.run(tmp_path, capsys, numerical, mismatch) == \
             (2, f"error: array {self.ROWS + 1}: shape (2, 2) does not match model shape (8, 8, 8)")
         assert self.run(tmp_path, capsys, numerical) == \
-            (3, f"numerical error: row {self.OVERFLOW}: its squared norm overflows in floating point")
+            (3, f"numerical error: array {self.OVERFLOW + 1}: its squared norm overflows in floating point")
 
 
 class TestBoundedMemory:
@@ -435,6 +436,15 @@ class TestBoundedMemory:
     def test_reader_peak_does_not_grow_with_the_file(self, files, n):
         _, paths, _ = files
         assert self.peak(lambda: deque(read_records(paths[n], "ARRV1"), maxlen=0)) < self.BOUND
+
+    def test_read_array_counts_records_without_holding_them(self, files):
+        # Holding every record before counting them peaked at 5.1 MB traced on this file.
+        _, paths, _ = files
+
+        def read():
+            with pytest.raises(FormatError, match="expected exactly one array, found 1000$"):
+                read_array(paths[1000])
+        assert self.peak(read) < self.BOUND
 
     @pytest.mark.parametrize("n", [100, 1000])
     def test_density_peak_beyond_its_values_does_not_grow_with_the_file(self, files, n):

@@ -11,7 +11,8 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager
-from itertools import groupby
+from itertools import cycle, groupby
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from arrayvariate import array_core, linalg
 from arrayvariate.array_core import unrvec
 from arrayvariate.errors import FormatError
-from support import dump_array, dump_arrays_oracle, dump_matrix_oracle, dump_record_oracle, parse_records_oracle
+from support import (dump_array, dump_arrays_oracle, dump_matrix_oracle, dump_record_oracle, format_float_oracle,
+                     parse_records_oracle)
 
 CHUNKS = st.sampled_from([1, 2, 3, 5, array_core.CHUNK])
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -97,6 +99,100 @@ class TestWriter:
                         lambda: dump_matrix_oracle(np.zeros((3, 0))), lambda: linalg.dump_matrix(np.zeros((3, 0)))):
             with pytest.raises(ValueError):
                 rejects()
+
+
+# --- the numpy formatter ---------------------------------------------------
+#
+# array_core._format computes the digits of the values in FLOAT_FORMAT's fixed
+# notation (1e-4 <= |x| < 1e16) in numpy and splices in the template's text
+# for the rest.  These tests hold it to the per-value oracle byte for byte.
+
+def floats_of_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(float)
+
+
+def formatter_oracle(values, seps):
+    return "".join(format_float_oracle(v) + sep for v, sep in zip(values.ravel(), cycle(seps)))
+
+
+@contextmanager
+def short_chunk(n):
+    saved = array_core.SHORT_CHUNK
+    array_core.SHORT_CHUNK = n
+    try:
+        yield
+    finally:
+        array_core.SHORT_CHUNK = saved
+
+
+def neighbours(x, ulps=3):
+    """x and its ``ulps`` nearest doubles on each side, with their negatives."""
+    near = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(ulps):
+            y = np.nextafter(y, direction)
+            near.append(y)
+    return near + [-v for v in near]
+
+
+FORMATTER_TABLE = np.array(
+    neighbours(1e-4) + neighbours(1e16)  # the range edges
+    + [v for e in range(-6, 19) for v in neighbours(10.0 ** e)]  # next to every power of ten
+    + [1e15 + j / 8 for j in range(64)] + [1e14 + j / 64 for j in range(64)]  # exact ties at the 17th digit
+    + [2.0 ** 53 + 2 * j for j in range(8)] + [0.5 + j * 2.0 ** -53 for j in range(8)]
+    + [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+       -1.7976931348623157e308, np.inf, -np.inf, np.nan, 1.0, -1.5, 0.1, 123456789.0, 9999999999999998.0])
+
+
+class TestFormatter:
+    @settings(max_examples=500)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=40))
+    def test_any_bit_pattern_matches_oracle(self, bits):
+        values = floats_of_bits(bits).reshape(-1, 1)
+        with short_chunk(1):  # the numpy path whenever one value is in its range
+            assert array_core._format(values, "\n") == formatter_oracle(values, "\n")
+
+    @settings(max_examples=500)
+    @given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1).map(lambda b: float(floats_of_bits(b))),
+                              st.floats(-1e17, 1e17), st.floats(-1e-3, 1e-3)), min_size=1, max_size=40))
+    def test_values_in_and_next_to_the_range_match_oracle(self, values):
+        values = np.array(values).reshape(-1, 1)
+        with short_chunk(1):
+            assert array_core._format(values, "\n") == formatter_oracle(values, "\n")
+
+    def test_edges_powers_of_ten_ties_and_specials_match_oracle(self):
+        values = FORMATTER_TABLE.reshape(-1, 1)
+        with short_chunk(1):
+            assert array_core._format(values, "\n").split("\n") == formatter_oracle(values, "\n").split("\n")
+
+    def test_many_values_match_oracle(self):
+        gen = np.random.default_rng(18)
+        values = np.concatenate([gen.standard_normal(20_000),
+                                 np.exp(gen.uniform(math.log(1e-7), math.log(1e18), 20_000)) * gen.choice([-1, 1], 20_000),
+                                 gen.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(float)])
+        for rows in np.array_split(values.reshape(-1, 3), 15):  # about 4,000 values each
+            assert array_core._format(rows, " \n\n", "h\n") == "".join("h\n" + formatter_oracle(r, " \n\n") for r in rows)
+
+    @pytest.mark.parametrize("n", [0, 1, array_core.SHORT_CHUNK - 1, array_core.SHORT_CHUNK, array_core.SHORT_CHUNK + 1])
+    def test_chunk_lengths_around_the_cutoff(self, n):
+        # n values in the numpy formatter's range and one value outside it after every 7th
+        gen = np.random.default_rng(n)
+        inside = gen.uniform(1, 10, n) * 10.0 ** gen.integers(-4, 16, n) * gen.choice([-1, 1], n)
+        outside = gen.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-5, -3e20], n // 7)
+        values = np.insert(inside, np.arange(1, n // 7 + 1) * 7, outside).reshape(-1, 1)
+        with mock.patch.object(array_core, "_scaled", wraps=array_core._scaled) as scaled:
+            text = array_core._format(values, "\n")
+        assert text == formatter_oracle(values, "\n")
+        assert scaled.called == (n >= array_core.SHORT_CHUNK)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (70, 70)])
+    def test_records_at_full_chunk_size_match_oracle(self, shape):
+        # whole records in a chunk, and a record longer than a chunk, with their heads
+        gen = np.random.default_rng(math.prod(shape))
+        arrays = [gen.standard_normal(shape) for _ in range(2 * array_core.CHUNK // math.prod(shape) + 1)]
+        arrays[0].flat[::5] = 0.0
+        assert array_core.dump_arrays(arrays) == dump_arrays_oracle(arrays)
 
 
 # --- reader ---------------------------------------------------------------
