@@ -12,7 +12,6 @@ message names a cell by its 1-based multi-index; internal numpy indexing
 stays 0-based.
 """
 
-import bisect
 import math
 from itertools import chain, groupby, islice
 
@@ -89,11 +88,13 @@ def check_finite(out, rows, shape, name, result) -> None:
 # a chunk of at most CHUNK at a time: the writer computes a chunk's digits
 # exactly in numpy, and writes 0, inf, nan, |x| < 1e-4 or >= 1e16 and chunks
 # too short to pay numpy's per-call cost through one FLOAT_FORMAT template, to
-# the same bytes (:func:`_format`); the reader converts a chunk's tokens with one
-# ``map(float, ...)``, so a value token is anything ``float()`` accepts.  When
-# m <= CHUNK, the reader takes the records that repeat the previous record's
-# lines (a writer's run of one shape) up to CHUNK // m at a time, reading lines
-# as it goes, and hands on each step's records as one (k, m) block of rows.
+# the same bytes (:func:`_format`).  The reader converts a step's tokens at once
+# with one ``map(float, ...)``, so a value token is anything ``float()`` accepts.
+# When m <= CHUNK, a step takes the records that repeat the previous record's
+# lines (a writer's run of one shape), up to CHUNK // m at a time, reading lines
+# as it goes, and hands them on as one (k, m) block of rows.  A step holding a
+# fault (a line out of place, a token float() rejects, a nan or inf) is read
+# again token by token, which names the first fault in file order.
 # ---------------------------------------------------------------------------
 
 # Values per chunk when writing, and per run step of the reader, which
@@ -228,153 +229,132 @@ def write_arrays(arrays, path) -> None:
         _write_arrays(arrays, fh.write)
 
 
+class _Replay(Exception):
+    """A sign of a fault in the step being read: the step is read again in exact mode."""
+
+
 def _records(lines, source, header, order):
-    # parse_records' records in the iterator `lines`, a (dims, rows) block per step once converted
+    # parse_records' records in the iterator `lines`, a (dims, rows) block per step once converted; a sign of a
+    # fault sends the walk back to `mark` in exact mode, which converts each token as it passes
     window, base = [], 0  # the lines, from line `base` (0-based) on, that the parse may still need
-    origin = 0  # value-stream start of the window's first record, or of what is left of it
-    ends = []  # value-stream end of every record of the window read in full
-    first_lines = []  # first data line in the window of every record begun; records are contiguous in the stream
     pieces, pending = [], []  # converted values of the current step; tokens not yet converted
-    converted = 0
-    nonfinite = where = None  # value-stream position of the first nan/inf, and its (line number, token)
+    exact, nonfinite = False, None  # exact mode; in it, (line number, message) of the record's first nan/inf
 
     def have(ln):  # whether line ln exists; lines are read into the window a few beyond it
         if ln >= base + len(window):
             window.extend(islice(lines, ln + 32 - base - len(window)))
         return ln < base + len(window)
 
-    def locate(at):
-        # (line number, token) of the value at stream position `at`, within the window
-        k = bisect.bisect_right(ends, at)
-        index, ln = at - (ends[k - 1] if k else origin), first_lines[k]
-        while True:
-            tokens = window[ln - base].split()
-            if index < len(tokens):
-                return ln + 1, tokens[index]
-            index -= len(tokens)
-            ln += 1
+    def fail(ln, msg):
+        raise FormatError(f"{source}:{ln}: {msg}") if exact else _Replay
 
-    def flush():
-        # Convert the pending tokens, at most a step's or about a chunk's, and
-        # report the first fault among them that comes before the walk's
-        # current line: a bad token, or a nan/inf in a record read in full.
-        nonlocal converted, nonfinite, where
-        bad = None
+    def convert():
         try:
             values = np.fromiter(map(float, pending), float, len(pending))
         except ValueError:
-            values = []
-            for t in pending:
-                try:
-                    values.append(float(t))
-                except ValueError:
-                    break
-            bad, values = converted + len(values), np.array(values, dtype=float)
-        finite = np.isfinite(values)
-        if nonfinite is None and not finite.all():
-            nonfinite = converted + int(np.argmin(finite))
-            where = locate(nonfinite)  # its record may end after its lines have left the window
+            raise _Replay from None
+        if not (exact or np.isfinite(values).all()):
+            raise _Replay
         pieces.append(values)
-        converted += len(values)
         pending.clear()
-        if nonfinite is not None:
-            k = bisect.bisect_right(ends, nonfinite)
-            if k < len(ends) and (bad is None or ends[k] <= bad):
-                raise FormatError(f"{source}:{where[0]}: non-finite value {where[1]!r}")
-        if bad is not None:
-            ln, token = locate(bad)
-            raise FormatError(f"{source}:{ln}: bad numeric token {token!r}")
 
-    def fail(ln, msg):
-        flush()  # a value fault earlier in the file is reported first
-        raise FormatError(f"{source}:{ln}: {msg}")
-
-    lineno = 0
-    dims_text = None  # the last dims line read: a run of same-shape records repeats it
+    # Where a replay starts: the line, the record's dims and size m, the values of it read (m between
+    # records), and the last dims line read, whose text a run of same-shape records repeats.
+    lineno, m, read, dims, dims_text = mark = (0, 0, 0, None, None)
     # Run step: the header line of the last record read (None when m > CHUNK),
     # the token count of each of its data lines, and the number of records the
     # next step tries to take, which doubles after each step up to CHUNK // m
     # and drops to 1 after the line walk.
     last, counts, take = None, [], 1
     while True:
-        if pending or pieces:
-            # the last step's records are read in full
-            flush()
-            yield dims, (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(-1, m)
-            cut = lineno if last is None else last
-            del window[:cut - base]
-            base, origin, ends, first_lines, pieces = cut, converted, [], [], []
-        while have(lineno) and not window[lineno - base].strip():
-            lineno += 1
-        if lineno >= base + len(window):
-            break
-        if last is not None and have(lineno + 1) and window[lineno + 1 - base] == dims_text:
-            # Take the next records in one step when each repeats the last
-            # record's lines: its header, dims and separator lines verbatim,
-            # and its token count on every data line.  Anything else is left
-            # to the line walk below, which reports the fault.  A next record
-            # whose dims line differs (another shape, or other spacing) skips
-            # the attempt, which costs more than walking a small record.
-            period = lineno - last
-            fixed = [(j, window[last + j - base]) for j in (0, 1, *range(2 + len(counts), period))]
-            have(lineno + take * period - 1)
-            k = min(take, (base + len(window) - lineno) // period)
-            seg = window[lineno - base:lineno - base + k * period]
-            if k and all(seg[j::period] == [line] * k for j, line in fixed):
-                columns = [seg[j::period] for j in range(2, 2 + len(counts))]
-                tokens = list(map(str.split, chain.from_iterable(zip(*columns))))
-                if list(map(len, tokens)) == counts * k:
-                    first_lines += range(lineno + 2, lineno + k * period, period)
-                    ends += range(converted + m, converted + k * m + 1, m)
-                    pending += chain.from_iterable(tokens)
-                    last = lineno + (k - 1) * period
-                    lineno += k * period
-                    take = min(2 * take, CHUNK // m)
-                    continue
-        head = lineno
-        got = window[lineno - base].strip()
-        if got != header:
-            fail(lineno + 1, f"expected {header} header, got {got!r}")
-        lineno += 1
-        if not have(lineno):
-            fail(lineno, "missing dims line")
-        if window[lineno - base] != dims_text:
-            dims_line = window[lineno - base].split()
-            if not dims_line or dims_line[0] != "dims":
-                fail(lineno + 1, "expected 'dims m1 m2 ...' line")
-            try:
-                dims = tuple(int(t) for t in dims_line[1:])
-            except ValueError:
-                fail(lineno + 1, f"non-integer dimension in {window[lineno - base].strip()!r}")
-            if len(dims) < 1 or any(d < 1 for d in dims):
-                fail(lineno + 1, f"invalid dims {dims}")
-            if order is not None and len(dims) != order:
-                fail(lineno + 1, f"expected {order} dims, got {len(dims)}")
-            dims_text, m = window[lineno - base], shape_size(dims)
-        lineno += 1
-        first_lines.append(lineno)
-        counts = []
-        read = 0
-        while read < m:
-            if not have(lineno):
-                fail(base + len(window), f"unexpected end of input: got {read} of {m} values")
-            tokens = window[lineno - base].split()
-            if not tokens and not read:
-                fail(lineno + 1, "blank line before any data values")
-            if len(tokens) > m - read:
-                pending += tokens[:m - read]
-                fail(lineno + 1, f"extra token {tokens[m - read]!r} after {m} values")
-            pending += tokens
-            counts.append(len(tokens))
-            read += len(tokens)
-            lineno += 1
-            if len(pending) >= CHUNK and read < m:
-                # a record of more than CHUNK values: convert what it has so far, and let its lines go
-                flush()
-                del window[:lineno - base]
-                base, origin, first_lines = lineno, converted, [lineno]
-        ends.append(converted + len(pending))
-        last, take = (head if m <= CHUNK else None), 1
+        try:
+            if read == m:  # between records, not replaying from inside a long one
+                if pending or pieces:
+                    # the last step's records are read in full
+                    convert()
+                    yield dims, (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(-1, m)
+                    cut = lineno if last is None else last
+                    del window[:cut - base]
+                    base, pieces, mark = cut, [], (lineno, m, read, dims, dims_text)
+                while have(lineno) and not window[lineno - base].strip():
+                    lineno += 1
+                if lineno >= base + len(window):
+                    break
+                if not exact and last is not None and have(lineno + 1) and window[lineno + 1 - base] == dims_text:
+                    # Take the next records in one step when each repeats the last
+                    # record's lines: its header, dims and separator lines verbatim,
+                    # and its token count on every data line.  Anything else is left
+                    # to the line walk below, which reports the fault.  A next record
+                    # whose dims line differs (another shape, or other spacing) skips
+                    # the attempt, which costs more than walking a small record.
+                    period = lineno - last
+                    fixed = [(j, window[last + j - base]) for j in (0, 1, *range(2 + len(counts), period))]
+                    have(lineno + take * period - 1)
+                    k = min(take, (base + len(window) - lineno) // period)
+                    seg = window[lineno - base:lineno - base + k * period]
+                    if k and all(seg[j::period] == [line] * k for j, line in fixed):
+                        columns = [seg[j::period] for j in range(2, 2 + len(counts))]
+                        tokens = list(map(str.split, chain.from_iterable(zip(*columns))))
+                        if list(map(len, tokens)) == counts * k:
+                            pending += chain.from_iterable(tokens)
+                            last = lineno + (k - 1) * period
+                            lineno += k * period
+                            take = min(2 * take, CHUNK // m)
+                            continue
+                head = lineno
+                got = window[lineno - base].strip()
+                if got != header:
+                    fail(lineno + 1, f"expected {header} header, got {got!r}")
+                lineno += 1
+                if not have(lineno):
+                    fail(lineno, "missing dims line")
+                if window[lineno - base] != dims_text:
+                    dims_line = window[lineno - base].split()
+                    if not dims_line or dims_line[0] != "dims":
+                        fail(lineno + 1, "expected 'dims m1 m2 ...' line")
+                    try:
+                        dims = tuple(int(t) for t in dims_line[1:])
+                    except ValueError:
+                        fail(lineno + 1, f"non-integer dimension in {window[lineno - base].strip()!r}")
+                    if len(dims) < 1 or any(d < 1 for d in dims):
+                        fail(lineno + 1, f"invalid dims {dims}")
+                    if order is not None and len(dims) != order:
+                        fail(lineno + 1, f"expected {order} dims, got {len(dims)}")
+                    dims_text, m = window[lineno - base], shape_size(dims)
+                lineno += 1
+                counts, read, nonfinite = [], 0, None
+            while read < m:
+                if not have(lineno):
+                    fail(base + len(window), f"unexpected end of input: got {read} of {m} values")
+                tokens = window[lineno - base].split()
+                if not tokens and not read:
+                    fail(lineno + 1, "blank line before any data values")
+                for t in tokens[:m - read] if exact else ():
+                    try:
+                        value = float(t)
+                    except ValueError:
+                        fail(lineno + 1, f"bad numeric token {t!r}")
+                    if nonfinite is None and not math.isfinite(value):
+                        nonfinite = (lineno + 1, f"non-finite value {t!r}")
+                if len(tokens) > m - read:
+                    fail(lineno + 1, f"extra token {tokens[m - read]!r} after {m} values")
+                pending += tokens
+                counts.append(len(tokens))
+                read += len(tokens)
+                lineno += 1
+                if len(pending) >= CHUNK and read < m:
+                    # a record of more than CHUNK values: convert what it has so far, let its lines go, and
+                    # replay from here should a later chunk hold a fault
+                    convert()
+                    del window[:lineno - base]
+                    base, mark = lineno, (lineno, m, read, dims, dims_text)
+            if nonfinite:
+                fail(*nonfinite)
+            last, take = (head if m <= CHUNK else None), 1
+        except _Replay:
+            exact = True
+            pending.clear()  # `pieces` holds the values converted before the mark
+            lineno, m, read, dims, dims_text = mark
 
 
 def parse_records(text, source, header, order=None) -> list:

@@ -20,6 +20,7 @@ CDFs), on first use.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -242,10 +243,9 @@ class CustomKernel(Kernel):
 
 
 def _check_dimension(k) -> int:
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"dimension k must be >= 1, got {k}")
-    return k
+    if not (isinstance(k, numbers.Real) and 1 <= k < math.inf and k == int(k)):  # nan fails 1 <= k
+        raise ValueError(f"dimension k must be a whole number >= 1, got {k!r}")
+    return int(k)
 
 
 def log_kernel_pdf(kernel, t, k):

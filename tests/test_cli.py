@@ -421,6 +421,10 @@ class TestBoundedMemory:
         for n in (100, 1000):
             paths[n] = tmp_path / f"x{n}.arr"
             write_rows(paths[n], (8, 8, 8), model.mean.ravel(order="F") + gen.standard_normal((n, 512)))
+        lines = paths[1000].read_text(encoding="utf-8").split("\n")  # the file ends in a line break
+        lines[-2] = lines[-2].rsplit(" ", 1)[0] + " x"  # the last value of the last array
+        paths["bad"] = tmp_path / "bad.arr"
+        paths["bad"].write_text("\n".join(lines), encoding="utf-8")
         return flags, paths, tmp_path / "density.txt"
 
     @staticmethod
@@ -436,6 +440,16 @@ class TestBoundedMemory:
     def test_reader_peak_does_not_grow_with_the_file(self, files, n):
         _, paths, _ = files
         assert self.peak(lambda: deque(read_records(paths[n], "ARRV1"), maxlen=0)) < self.BOUND
+
+    def test_reader_peak_on_a_fault_in_the_last_array(self, files):
+        # the step holding the fault is read a second time, token by token, to name it
+        _, paths, _ = files
+        n_lines = len(paths["bad"].read_text(encoding="utf-8").splitlines())
+
+        def read():
+            with pytest.raises(FormatError, match=rf":{n_lines}: bad numeric token 'x'$"):
+                deque(read_records(paths["bad"], "ARRV1"), maxlen=0)
+        assert self.peak(read) < self.BOUND
 
     def test_read_array_counts_records_without_holding_them(self, files):
         # Holding every record before counting them peaked at 5.1 MB traced on this file.

@@ -310,6 +310,14 @@ class TestReader:
         "ARRV1\ndims 2\n1 -inf\nMATV1\n",
         # float() semantics: underscores, signs, bare fractions, upper-case exponents
         "ARRV1\ndims 5\n1_0 +5 .5e-3 -0.0 1E3\n",
+        # records longer than a chunk at CHUNK 1, 2 and 3: the fault comes after
+        # an earlier chunk of its record was converted and its lines let go
+        "ARRV1\ndims 8\n1 2\nnan 3\n4 5\n6 x\n",  # a nan in an early chunk, then a bad token
+        "ARRV1\ndims 6\n1 2\nnan 3\n4 5 6\n",  # a nan, then an extra token
+        "ARRV1\ndims 6\n1 2\nnan 3\n4\n",  # a nan, then the end of input
+        "ARRV1\ndims 6\n1 2\n3 4\n5 x\n",  # a bad token in the last chunk only
+        "ARRV1\ndims 3\n1 2\nx 4\n",  # a bad token before an extra token on its line
+        "ARRV1\ndims 6\n1 2\n3 4\n5 inf\n\nARRV1\ndims 2\n1 x\n",  # a nan in the last chunk, then a fault
     ])
     def test_fault_order_cases(self, text):
         for chunk in (1, 2, 3, array_core.CHUNK):

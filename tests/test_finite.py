@@ -162,6 +162,20 @@ class TestScalarArguments:
         call, prefix = SCALARS[entry]
         raises_without_warning(lambda: call(KERNELS[kernel], value, 3), ValueError, prefix)
 
+    @pytest.mark.parametrize("k", [2.5, 0.5, np.inf, np.nan, "3"], ids=["2.5", "0.5", "inf", "nan", "str-3"])
+    @pytest.mark.parametrize("entry", sorted(SCALARS))
+    def test_dimension_that_is_not_a_whole_number_raises(self, entry, k):
+        # a truncating int(k) would take 2.5 as 2 and "3" as 3, and raise OverflowError on inf
+        call, _ = SCALARS[entry]
+        raises_without_warning(lambda: call(KERNELS["t5"], 1.0, k), ValueError,
+                               f"dimension k must be a whole number >= 1, got {k!r}")
+
+    @pytest.mark.parametrize("k", [3.0, np.int64(3), np.float64(3.0)], ids=["3.0", "int64", "float64"])
+    @pytest.mark.parametrize("entry", sorted(SCALARS))
+    def test_whole_dimension_of_any_real_type(self, entry, k):
+        call, _ = SCALARS[entry]
+        assert call(KERNELS["t5"], 1.0, k) == call(KERNELS["t5"], 1.0, 3)
+
 
 class TestFiniteAnswers:
     def test_finite_inputs_still_give_finite_answers(self):
