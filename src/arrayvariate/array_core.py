@@ -13,6 +13,7 @@ stays 0-based.
 """
 
 import math
+import numbers
 from itertools import chain, groupby, islice
 
 import numpy as np
@@ -28,11 +29,17 @@ def as_array(x) -> np.ndarray:
     return a
 
 
+def whole(x, low, what) -> int:
+    """``x`` as an int: a real whole number >= ``low`` (3, 3.0, ``np.int64(3)``), else ``ValueError``."""
+    if not (isinstance(x, numbers.Real) and low <= x < math.inf and x == int(x)):  # nan fails low <= x
+        raise ValueError(f"{what} must be a whole number >= {low}, got {x!r}")
+    return int(x)
+
+
 def shape_size(shape) -> int:
     """Total cell count ``m = m1 * m2 * ... * mi``."""
-    dims = tuple(int(d) for d in shape)
-    if len(dims) < 1 or any(d < 1 for d in dims):
-        raise ValueError(f"invalid shape {tuple(shape)!r}: order >= 1 and every dimension >= 1 required")
+    dims = [whole(d, 1, "array dimension") for d in shape]
+    whole(len(dims), 1, "array order")
     return math.prod(dims)
 
 
@@ -200,8 +207,7 @@ def write_records(header, dims, rows, per_line, write) -> None:
     """
     rows = np.asarray(rows, dtype=float)
     n, m = rows.shape
-    if per_line < 1:
-        raise ValueError(f"cannot write {per_line} values to a line")
+    per_line = whole(per_line, 1, "values per line")
     full, rest = divmod(m, per_line)
     seps = (" " * (per_line - 1) + "\n") * full + (" " * (rest - 1) + "\n") * bool(rest)
     # every record but the first opens with the blank separator line
@@ -210,21 +216,30 @@ def write_records(header, dims, rows, per_line, write) -> None:
         write(piece if i else piece[1:])
 
 
+def _finite_arrays(arrays) -> list:
+    arrays = list(map(as_array, arrays))
+    for i, a in enumerate(arrays, start=1):
+        if not np.isfinite(a).all():
+            check_finite(a, rvec(a)[None, :], a.shape, f"array {i}", "")
+    return arrays
+
+
 def _write_arrays(arrays, write) -> None:
-    for i, (shape, group) in enumerate(groupby(map(as_array, arrays), key=np.shape)):
+    for i, (shape, group) in enumerate(groupby(arrays, key=np.shape)):
         if i:
             write("\n")
         write_records("ARRV1", shape, [rvec(a) for a in group], shape[0], write)
 
 
 def dump_arrays(arrays) -> str:
-    """Render a sequence of arrays, blank-line separated, one mode-1 fiber per line."""
+    """Render a sequence of arrays, blank-line separated, one mode-1 fiber per line; a nan or inf is a ValueError."""
     out = []
-    _write_arrays(arrays, out.append)
+    _write_arrays(_finite_arrays(arrays), out.append)
     return "".join(out)
 
 
 def write_arrays(arrays, path) -> None:
+    arrays = _finite_arrays(arrays)  # checked before the file is opened: a rejected call creates no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _write_arrays(arrays, fh.write)
 

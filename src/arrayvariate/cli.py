@@ -31,7 +31,6 @@ import numpy as np
 
 from .array_core import format_rows, read_array, read_records, rvec, write_records
 from .densities import Kernel, KroneckerModel, logpdf_elliptical_rvecs, radial_pdf
-from .errors import FormatError
 from .linalg import read_matrix
 from .multilinear import multilinear_lstsq, row_tiles
 from .sampling import RandomStream, sample_elliptical_rvecs
@@ -243,9 +242,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'arrayvariate {args.command} --help' for usage", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # SingularMatrixError among them
         print(f"numerical error: {exc}", file=sys.stderr)

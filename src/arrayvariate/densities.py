@@ -20,12 +20,11 @@ CDFs), on first use.
 """
 
 import math
-import numbers
 
 import numpy as np
 
 from . import linalg
-from .array_core import as_array, check_finite, rvec
+from .array_core import as_array, check_finite, rvec, whole
 from .errors import SingularMatrixError
 from .multilinear import map_rows, map_tiles
 
@@ -242,12 +241,6 @@ class CustomKernel(Kernel):
         return self.log_normalizer(k) + np.asarray(self.user_log_profile(t), dtype=float)
 
 
-def _check_dimension(k) -> int:
-    if not (isinstance(k, numbers.Real) and 1 <= k < math.inf and k == int(k)):  # nan fails 1 <= k
-        raise ValueError(f"dimension k must be a whole number >= 1, got {k!r}")
-    return int(k)
-
-
 def log_kernel_pdf(kernel, t, k):
     """Log of the spherical kernel density at squared radius ``t`` in dimension ``k``.
 
@@ -257,7 +250,7 @@ def log_kernel_pdf(kernel, t, k):
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):  # nan fails this test too
         raise ValueError("squared radius t must be >= 0")
-    out = kernel.log_profile(t, _check_dimension(k))
+    out = kernel.log_profile(t, whole(k, 1, "dimension k"))
     return out if out.ndim else float(out)
 
 
@@ -271,7 +264,7 @@ def radial_pdf(kernel, r, k):
     r = np.asarray(r, dtype=float)
     if not np.all(r >= 0):  # nan fails this test too
         raise ValueError("radius r must be >= 0")
-    out = np.exp(kernel.log_radial_pdf(r, _check_dimension(k)))
+    out = np.exp(kernel.log_radial_pdf(r, whole(k, 1, "dimension k")))
     return out if out.ndim else float(out)
 
 
@@ -304,8 +297,8 @@ class KroneckerModel:
                 inv = linalg._inverse(f)  # as_matrix checked f above
             except SingularMatrixError as exc:
                 raise SingularMatrixError(f"mode {j}: factor is singular") from exc
-            if not np.isfinite(inv).all():
-                raise SingularMatrixError(f"mode {j}: factor's inverse is not finite")
+            except OverflowError as exc:
+                raise SingularMatrixError(f"mode {j}: factor's inverse is not finite") from exc
             inv_factors.append(inv)
             # _inverse has run the pivot test on f, so slogdet needs no test of its own
             log_jac += (mean.size // mj) * float(np.linalg.slogdet(f)[1])

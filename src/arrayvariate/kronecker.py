@@ -22,13 +22,6 @@ def inv_kron(a, b) -> np.ndarray:
     return np.kron(linalg.as_matrix(b), linalg.as_matrix(a))
 
 
-def _factor_list(factors):
-    fs = [linalg.as_matrix(f) for f in factors]
-    if not fs:
-        raise ValueError("factor list must be non-empty")
-    return fs
-
-
 def inv_kron_chain(factors) -> np.ndarray:
     """Left-associated fold of :func:`inv_kron` over an ordered factor list.
 
@@ -36,4 +29,7 @@ def inv_kron_chain(factors) -> np.ndarray:
     Materializes the full dense matrix: meant for small verification problems
     and oracles, not for density or sampling hot paths.
     """
-    return reduce(inv_kron, _factor_list(factors))
+    fs = [linalg.as_matrix(f) for f in factors]
+    if not fs:
+        raise ValueError("factor list must be non-empty")
+    return reduce(inv_kron, fs)

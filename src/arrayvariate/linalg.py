@@ -70,7 +70,7 @@ def _checked_lu(a):
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse of a matrix that passes the pivot test, in Fortran order."""
+    """Matrix inverse of a matrix that passes the pivot test, in Fortran order; ``OverflowError`` if it overflows."""
     return _inverse(_square(a))
 
 
@@ -80,9 +80,12 @@ def _inverse(a) -> np.ndarray:
     try:
         # Fortran order, the layout LAPACK writes: the per-mode engine's
         # matmul with a 32x32 inverse factor runs 6-10% faster in it
-        return np.asfortranarray(np.linalg.inv(a))
+        inv = np.asfortranarray(np.linalg.inv(a))
     except np.linalg.LinAlgError as exc:
         raise _singular() from exc
+    if not np.isfinite(inv).all():  # the pivot test is relative: 1e-310 * I passes it
+        raise OverflowError("matrix inverse overflows in floating point")
+    return inv
 
 
 def l_inverse(a) -> np.ndarray:
@@ -130,8 +133,9 @@ def dump_matrix(a) -> str:
 
 
 def write_matrix(a, path) -> None:
+    text = dump_matrix(a)  # checked before the file is opened: a rejected call creates no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_matrix(a))
+        fh.write(text)
 
 
 def parse_matrix(text, source="<string>") -> np.ndarray:

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .array_core import as_array, check_finite, rvec
+from .array_core import as_array, check_finite, rvec, shape_size
 from .errors import SingularMatrixError
 
 # Input bytes per row tile, sized to stay in a core's L2 cache.  A tile holds
@@ -128,10 +128,10 @@ def apply_modes(maps, rows, shape) -> np.ndarray:
     Raises ``ValueError`` naming the first row with a non-finite cell, and
     ``OverflowError`` when the image of a finite row overflows.
     """
-    shape = tuple(int(d) for d in shape)
+    m = shape_size(shape)
+    shape = tuple(int(d) for d in shape)  # whole numbers, as shape_size has checked
     ms = _checked_maps(maps, shape)
     rows = np.asarray(rows, dtype=float)
-    m = math.prod(shape)
     if rows.ndim != 2 or rows.shape[1] != m:
         raise ValueError(f"expected an (n, {m}) matrix of stacked arrays, got {rows.shape}")
     return map_rows(ms, rows, shape, "row {k}", "image")

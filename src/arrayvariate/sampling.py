@@ -18,7 +18,7 @@ Nothing is computed by quadrature or inversion.
 
 import numpy as np
 
-from .array_core import rvec, unrvec
+from .array_core import rvec, unrvec, whole
 from .multilinear import map_tiles
 
 _MASK64 = (1 << 64) - 1
@@ -50,8 +50,7 @@ class RandomStream:
         Child seed is ``splitmix64(seed + (task_index + 1) * 0x9E3779B97F4A7C15)``:
         a fixed 64-bit mix, so (seed, task index) always maps to the same child.
         """
-        if task_index < 0:
-            raise ValueError("task index must be >= 0")
+        task_index = whole(task_index, 0, "task index")
         return RandomStream(_splitmix64(self.seed + (task_index + 1) * _GOLDEN))
 
     def __repr__(self):
@@ -69,9 +68,7 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
     that underflowed at small df) before any division, and every other
     overflow is caught when its tile is finished.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"draw count must be >= 0, got {n}")
+    n = whole(n, 0, "draw count")
     gen = stream.generator
     divisors = np.broadcast_to(model.kernel.radius_divisor(n, gen), n)
     rows = np.empty((n, model.m))

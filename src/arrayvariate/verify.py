@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_core import rvec
+from .array_core import rvec, whole
 from .densities import logpdf_elliptical_rvecs, squared_norms
 from .kronecker import inv_kron_chain
 from .sampling import sample_elliptical_rvecs
@@ -70,9 +70,7 @@ def check_normalization(model, n, stream) -> McReport:
     m = model.m
     if m > MAX_NORMALIZATION_CELLS:
         raise ValueError(f"cell count {m} exceeds the normalization guard ({MAX_NORMALIZATION_CELLS})")
-    n = int(n)
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    n = whole(n, 2, "sample count")
     gen = stream.generator
     k = inv_kron_chain(model.factors)
     mu = rvec(model.mean)
@@ -123,9 +121,7 @@ def check_covariance(model, n, stream) -> McReport:
     m = model.m
     if m > MAX_COVARIANCE_CELLS:
         raise ValueError(f"cell count {m} exceeds the covariance guard ({MAX_COVARIANCE_CELLS})")
-    n = int(n)
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    n = whole(n, 2, "sample count")
     target = implied_covariance(model)
     rows = sample_elliptical_rvecs(model, n, stream)
     centered = rows - rows.mean(axis=0)[None, :]
@@ -159,9 +155,7 @@ def check_radial(model, n, stream) -> McReport:
     either path moves the radii off the law.  estimate = p-value, target = the
     rejection level, statistic = KS distance.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    n = whole(n, 2, "sample count")
     from scipy import stats  # deferred: importing scipy.stats takes most of a cold start
 
     radii = np.empty(n)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,22 @@ class TestArrv1:
         back = read_arrays(path)
         assert len(back) == 2
         np.testing.assert_array_equal(back[1], X22 * 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at, cell, named", [(0, (1, 0), "array 1 cell (2, 1)"),
+                                                 (2, (1, 2, 0), "array 3 cell (2, 3, 1)")], ids=["first", "later"])
+    def test_writers_reject_a_non_finite_cell(self, tmp_path, bad, at, cell, named):
+        # the reader rejects a nan or inf, so no writer writes one: write_arrays creates no file
+        arrays = [X22.copy(), X22 * 2, np.ones((2, 3, 2))]
+        arrays[at][cell] = bad
+        arrays[2][0, 0, 1] = np.nan  # stacked after cell (2, 3, 1)
+        message = rf"^{re.escape(named)} is not finite \({re.escape(repr(bad))}\)$"
+        with pytest.raises(ValueError, match=message):
+            ac.dump_arrays(arrays)
+        path = tmp_path / "bad.arr"
+        with pytest.raises(ValueError, match=message):
+            ac.write_arrays(arrays, path)
+        assert not path.exists()
 
     def test_read_array_rejects_many(self, tmp_path):
         path = tmp_path / "two.arr"

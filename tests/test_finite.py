@@ -13,9 +13,12 @@ import warnings
 import numpy as np
 import pytest
 
+from arrayvariate import array_core as ac
 from arrayvariate import densities as dn
 from arrayvariate import linalg
 from arrayvariate import multilinear as ml
+from arrayvariate import sampling as sp
+from arrayvariate import verify as vf
 from arrayvariate.array_core import rvec
 
 BAD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
@@ -154,6 +157,39 @@ SCALARS = {
 }
 
 
+ROWS = np.arange(12.0).reshape(2, 6)
+
+
+def written(per_line) -> str:
+    out = []
+    ac.write_records("ARRV1", (6,), ROWS, per_line, out.append)
+    return "".join(out)
+
+
+# each entry that takes a count, a dimension or an index, called with it as v, and the
+# start of its message for a v that is not a whole number at or above its least value
+WHOLE = {
+    "sample_elliptical_rvecs": (lambda v: sp.sample_elliptical_rvecs(model(), v, sp.RandomStream(1)),
+                                "draw count must be a whole number >= 0"),
+    "check_normalization": (lambda v: vf.check_normalization(model(), v, sp.RandomStream(1)),
+                            "sample count must be a whole number >= 2"),
+    "check_covariance": (lambda v: vf.check_covariance(model(), v, sp.RandomStream(1)),
+                         "sample count must be a whole number >= 2"),
+    "check_radial": (lambda v: vf.check_radial(model(), v, sp.RandomStream(1)),
+                     "sample count must be a whole number >= 2"),
+    "unrvec": (lambda v: ac.unrvec(ROWS[1], (v, 2)), "array dimension must be a whole number >= 1"),
+    "shape_size": (lambda v: ac.shape_size((2, v)), "array dimension must be a whole number >= 1"),
+    "apply_modes": (lambda v: ml.apply_modes([np.diag([1.0, 2.0, 3.0]), np.eye(2)], ROWS, (v, 2)),
+                    "array dimension must be a whole number >= 1"),
+    "split": (lambda v: sp.RandomStream(1).split(v).seed, "task index must be a whole number >= 0"),
+    "write_records": (written, "values per line must be a whole number >= 1"),
+}
+
+
+def same(a, b) -> bool:
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
 class TestScalarArguments:
     @pytest.mark.parametrize("value", [np.nan, -1.0, [1.0, np.nan]], ids=["nan", "-1", "array-with-nan"])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -175,6 +211,19 @@ class TestScalarArguments:
     def test_whole_dimension_of_any_real_type(self, entry, k):
         call, _ = SCALARS[entry]
         assert call(KERNELS["t5"], 1.0, k) == call(KERNELS["t5"], 1.0, 3)
+
+    @pytest.mark.parametrize("v", [2.5, -0.5, np.inf, np.nan, "3"], ids=["2.5", "-0.5", "inf", "nan", "str-3"])
+    @pytest.mark.parametrize("entry", sorted(WHOLE))
+    def test_count_that_is_not_a_whole_number_raises(self, entry, v):
+        # a truncating int(v) would take 2.5 as 2 and -0.5 as 0, and raise OverflowError on inf
+        call, what = WHOLE[entry]
+        raises_without_warning(lambda: call(v), ValueError, f"{what}, got {v!r}")
+
+    @pytest.mark.parametrize("v", [3.0, np.int64(3)], ids=["3.0", "int64"])
+    @pytest.mark.parametrize("entry", sorted(WHOLE))
+    def test_whole_count_of_any_real_type(self, entry, v):
+        call, _ = WHOLE[entry]
+        assert same(call(v), call(3))
 
 
 class TestFiniteAnswers:

@@ -280,8 +280,17 @@ class TestExtremeEntries:
                 out = NUMPY_LINALG[name](*args)
             except ArithmeticError:
                 return
-        if name != "inverse":  # a finite factor's inverse may overflow; KroneckerModel rejects it
-            assert np.isfinite(out).all()
+        assert np.isfinite(out).all()
+
+    def test_subnormal_identity_inverse_overflows(self):
+        # the pivot test is relative, so 1e-310 * I passes it; its inverse is beyond the float range
+        a = 1e-310 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^matrix inverse overflows"):
+                linalg.inverse(a)
+            with pytest.raises(ArithmeticError):
+                linalg.l_inverse(a)
 
     def test_scaled_identity_left_inverse(self):
         # A'A would underflow or overflow; the power-of-two scaling keeps it in range
@@ -290,6 +299,13 @@ class TestExtremeEntries:
 
 
 class TestMatv1:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_creates_no_file(self, tmp_path, bad):
+        path = tmp_path / "bad.mat"
+        with pytest.raises(ValueError, match=r"^matrix entry \(1, 2\) is not finite"):
+            linalg.write_matrix(np.array([[1.0, bad], [0.0, 1.0]]), path)
+        assert not path.exists()
+
     def test_round_trip(self, tmp_path):
         gen = np.random.default_rng(26)
         a = gen.standard_normal((3, 4))
