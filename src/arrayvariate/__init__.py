@@ -21,11 +21,12 @@ from .densities import (
     log_kernel_pdf,
     logpdf_elliptical,
     logpdf_elliptical_rvecs,
+    radial_cdf,
     radial_pdf,
     standardize,
 )
 from .errors import FormatError, SingularMatrixError
-from .kronecker import inv_kron, inv_kron_chain
+from .kronecker import inv_kron_chain
 from .linalg import (
     dump_matrix,
     inverse,

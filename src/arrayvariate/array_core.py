@@ -57,6 +57,12 @@ def unrvec(vec, shape) -> np.ndarray:
     return v.reshape(tuple(int(d) for d in shape), order="F")
 
 
+def unrvec_rows(rows, dims) -> np.ndarray:
+    """The ``(n, m)`` stacked ``rows`` as n arrays of shape ``dims``, one Fortran-ordered view each:
+    rows stacked in rvec order are an ``(n, *reversed dims)`` C array with its last axes reversed."""
+    return rows.reshape(-1, *dims[::-1]).transpose(0, *range(len(dims), 0, -1))
+
+
 def check_finite(out, rows, shape, name, result) -> None:
     """Raise unless ``out`` is finite; its row k was computed from row k of ``rows``.
 
@@ -391,10 +397,7 @@ def parse_arrays(text, source="<string>") -> list:
 
     Raises :class:`FormatError` with ``source:line:`` on any malformed input.
     """
-    # k arrays of shape dims, stacked in rvec order, are a (k, *reversed dims)
-    # C array with its last axes reversed
-    return [a for dims, rows in parse_records(text, source, "ARRV1")
-            for a in rows.reshape(-1, *dims[::-1]).transpose(0, *range(len(dims), 0, -1))]
+    return [a for dims, rows in parse_records(text, source, "ARRV1") for a in unrvec_rows(rows, dims)]
 
 
 def read_records(path, header, order=None):

@@ -14,9 +14,10 @@ norm raises: ``ValueError`` when its array holds a non-finite cell,
 ``OverflowError`` when the array is finite and the norm overflowed.  A single
 array is evaluated as a batch of one.  Everything is computed and exposed in
 log space.
-The normal kernel's density needs no special function; ``scipy.special`` is
-imported inside the kernel methods that do (t profiles, radial densities and
-CDFs), on first use.
+The kernel math is private, and :func:`log_kernel_pdf`, :func:`radial_pdf` and
+:func:`radial_cdf` check their arguments alike.  The normal kernel's density
+needs no special function; ``scipy.special`` is imported, on first use, by
+the code that does (t profiles, radial densities and CDFs).
 """
 
 import math
@@ -38,7 +39,9 @@ class Kernel:
     """Spherical kernel pdf family: the scalar profile f(t) with t = x'x.
 
     A kernel owns all family-specific math: profile, radial law, covariance
-    scale, importance proposal and report tag.  Build one with a constructor:
+    scale, importance proposal and report tag.  The math is private: reach it
+    through :func:`log_kernel_pdf`, :func:`radial_pdf` and :func:`radial_cdf`.
+    Build one with a constructor:
 
     ``Kernel.normal()``
         ``f(t) = (2 pi)^(-k/2) exp(-t/2)`` in dimension k.
@@ -78,40 +81,28 @@ class Kernel:
     def __repr__(self):
         return f"Kernel.{self.name}()"
 
-    def log_profile(self, t, k):
+    def _log_profile(self, t, k):
         """``log f(t)`` in dimension k, elementwise over an ndarray ``t >= 0``."""
         raise NotImplementedError
 
-    def log_radial_pdf(self, r, k):
-        """Log density of the radius ``r = sqrt(x'x)``: log sphere surface + log f(r^2).
-
-        ``xlogy`` keeps ``k = 1, r = 0`` finite; r = +inf takes the limit 0, not ``inf - inf``.
-        """
-        from scipy.special import gammaln, xlogy
-
-        log_surface = math.log(2.0) + 0.5 * k * math.log(math.pi) - gammaln(0.5 * k)
-        at_inf = np.isposinf(r)
-        r = np.where(at_inf, 1.0, r)
-        return np.where(at_inf, -np.inf, log_surface + xlogy(k - 1, r) + self.log_profile(r * r, k))
-
-    def radial_cdf(self, r, k):
+    def _radial_cdf(self, r, k):
         """``P(radius <= r)`` in dimension k, elementwise."""
         raise NotImplementedError(f"no closed-form radial law for {self.name!r} kernels")
 
-    def radius_divisor(self, n, gen):
+    def _radius_divisor(self, n, gen):
         """n divisors d of the Gaussian radius: a draw's radius is ``||z|| / d``.
 
-        Every divisor is > 0: a kernel raises :meth:`unrepresentable` for the
+        Every divisor is > 0: a kernel raises :meth:`_unrepresentable` for the
         first one that is not, before anything is divided by it.
         """
         raise NotImplementedError(f"no sampler for {self.name!r} kernels")
 
-    def unrepresentable(self, k, reason):
+    def _unrepresentable(self, k, reason):
         """The ``OverflowError`` for draw k, which is not finite in floating point."""
         df = "" if self.df is None else f" with df {self.df:g}"
         return OverflowError(f"{self.name} kernel{df}: draw {k} is not representable in floating point ({reason})")
 
-    def importance_proposal(self, mu, k, n, gen):
+    def _importance_proposal(self, mu, k, n, gen):
         """n draws from a proposal centered at ``mu`` with scale ``2 K``, and their log-densities."""
         raise ValueError(f"no importance proposal for {self.name!r} kernels")
 
@@ -122,10 +113,10 @@ class NormalKernel(Kernel):
     name = tag = "normal"
     covariance_scale = 1.0
 
-    def log_profile(self, t, k):
+    def _log_profile(self, t, k):
         return -0.5 * k * LOG_2PI - 0.5 * t
 
-    def radial_cdf(self, r, k):
+    def _radial_cdf(self, r, k):
         from scipy.special import gammainc
 
         # the CDF is 1 at r = 1e150 in any dimension a float can hold, so
@@ -133,10 +124,10 @@ class NormalKernel(Kernel):
         r = np.minimum(r, 1e150)
         return gammainc(0.5 * k, 0.5 * r * r)
 
-    def radius_divisor(self, n, gen):
+    def _radius_divisor(self, n, gen):
         return 1.0
 
-    def importance_proposal(self, mu, k, n, gen):
+    def _importance_proposal(self, mu, k, n, gen):
         m = mu.size
         z = gen.standard_normal((n, m))
         draws = mu[None, :] + 2.0 * (z @ k.T)
@@ -164,7 +155,7 @@ class StudentKernel(Kernel):
     def __repr__(self):
         return super().__repr__() if self.name == "cauchy" else f"Kernel.student_t({self.df})"
 
-    def log_profile(self, t, k):
+    def _log_profile(self, t, k):
         # Gamma((v+k)/2) / Gamma(v/2) as Gamma(k/2) / B(v/2, k/2): the gammaln
         # difference cancels catastrophically at large df, and v * pi overflows
         from scipy.special import betaln, gammaln
@@ -177,7 +168,7 @@ class StudentKernel(Kernel):
             - 0.5 * (v + k) * np.log1p(t / v)
         )
 
-    def radial_cdf(self, r, k):
+    def _radial_cdf(self, r, k):
         # The CDF is I_x(k/2, df/2) with x = t / (t + df) and t = r^2.  Past
         # x = 1/2 it is 1 - I_(1-x)(df/2, k/2), which keeps the upper tail that
         # x itself rounds away at small df.  That difference loses digits where
@@ -191,7 +182,7 @@ class StudentKernel(Kernel):
             # the normal limit: the two CDFs differ by about k^2 / (4 df) of
             # their value, below half an ulp here, and betainc returns nan once
             # df/2 is huge (from df near 1e160 at k = 3)
-            return NormalKernel().radial_cdf(r, k)
+            return NormalKernel()._radial_cdf(r, k)
         a, b = 0.5 * self.df, 0.5 * k
         with np.errstate(divide="ignore"):
             log_s = math.log(self.df) - 2.0 * np.log(np.asarray(r, dtype=float))  # +inf at r = 0
@@ -210,14 +201,14 @@ class StudentKernel(Kernel):
             out[far] = np.where(lower, np.exp(lead), -np.expm1(lead))
         return out
 
-    def radius_divisor(self, n, gen):
+    def _radius_divisor(self, n, gen):
         d = np.sqrt(gen.chisquare(self.df, size=n) / self.df)
         if n and not d.min() > 0.0:  # at small df chi-square draws underflow to 0
             k = int(np.argmin(d))
-            raise self.unrepresentable(k, f"its radius divisor is {d[k]:g}")
+            raise self._unrepresentable(k, f"its radius divisor is {d[k]:g}")
         return d
 
-    def importance_proposal(self, mu, k, n, gen):
+    def _importance_proposal(self, mu, k, n, gen):
         from scipy import stats  # deferred: importing scipy.stats takes most of a cold start
 
         proposal = stats.multivariate_t(loc=mu, shape=4.0 * (k @ k.T), df=self.df)
@@ -234,11 +225,16 @@ class CustomKernel(Kernel):
     def __init__(self, log_profile, log_normalizer):
         if log_profile is None or log_normalizer is None:
             raise ValueError("custom kernel needs a log_profile and a log_normalizer")
-        self.user_log_profile = log_profile
-        self.log_normalizer = log_normalizer
+        self._log_profile = lambda t, k: log_normalizer(k) + np.asarray(log_profile(t), dtype=float)
 
-    def log_profile(self, t, k):
-        return self.log_normalizer(k) + np.asarray(self.user_log_profile(t), dtype=float)
+
+def _checked(body, x, k, what):
+    """``body(x, k)`` once every x is ``>= 0`` and k is a whole number ``>= 1``; a scalar x gives a float."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0):  # nan fails this test too
+        raise ValueError(f"{what} must be >= 0")
+    out = body(x, whole(k, 1, "dimension k"))
+    return out if out.ndim else float(out)
 
 
 def log_kernel_pdf(kernel, t, k):
@@ -247,11 +243,7 @@ def log_kernel_pdf(kernel, t, k):
     ``t`` may be a scalar or an ndarray; the value is the density of the
     k-variate spherical law at any point x with ``x'x == t``.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):  # nan fails this test too
-        raise ValueError("squared radius t must be >= 0")
-    out = kernel.log_profile(t, whole(k, 1, "dimension k"))
-    return out if out.ndim else float(out)
+    return _checked(kernel._log_profile, t, k, "squared radius t")
 
 
 def radial_pdf(kernel, r, k):
@@ -259,13 +251,22 @@ def radial_pdf(kernel, r, k):
 
     Equals ``2 pi^(k/2) / Gamma(k/2) * r^(k-1) * f(r^2)``: the kernel value on
     the sphere of radius r times the sphere's surface area.  Evaluated in log
-    space (:meth:`Kernel.log_radial_pdf`), so it stays finite in any dimension.
+    space, so it stays finite in any dimension: ``xlogy`` keeps ``k = 1, r = 0``
+    finite, and r = +inf takes the limit 0, not ``exp(inf - inf)``.
     """
-    r = np.asarray(r, dtype=float)
-    if not np.all(r >= 0):  # nan fails this test too
-        raise ValueError("radius r must be >= 0")
-    out = np.exp(kernel.log_radial_pdf(r, whole(k, 1, "dimension k")))
-    return out if out.ndim else float(out)
+    def pdf(r, k):
+        from scipy.special import gammaln, xlogy
+
+        log_surface = math.log(2.0) + 0.5 * k * math.log(math.pi) - gammaln(0.5 * k)
+        at_inf = np.isposinf(r)
+        r = np.where(at_inf, 1.0, r)
+        return np.exp(np.where(at_inf, -np.inf, log_surface + xlogy(k - 1, r) + kernel._log_profile(r * r, k)))
+    return _checked(pdf, r, k, "radius r")
+
+
+def radial_cdf(kernel, r, k):
+    """``P(radius <= r)`` for a k-variate spherical draw, in closed form; a custom kernel has none."""
+    return _checked(kernel._radial_cdf, r, k, "radius r")
 
 
 class KroneckerModel:

@@ -1,4 +1,4 @@
-"""The reversed Kronecker product ``A (x)' B = B (x) A`` and its chain over ordered factors.
+"""The chain of reversed Kronecker products ``A (x)' B = B (x) A`` over ordered factors.
 
 The reversal is what makes chained per-mode maps act directly on the
 first-index-fastest stacked vector: the classical identity
@@ -17,13 +17,8 @@ import numpy as np
 from . import linalg
 
 
-def inv_kron(a, b) -> np.ndarray:
-    """Reversed Kronecker product of two matrices: block (j, k) is ``A * B[j, k]``."""
-    return np.kron(linalg.as_matrix(b), linalg.as_matrix(a))
-
-
 def inv_kron_chain(factors) -> np.ndarray:
-    """Left-associated fold of :func:`inv_kron` over an ordered factor list.
+    """Left-associated fold of ``A (x)' B = np.kron(B, A)`` over an ordered factor list.
 
     For factors of sizes ``mj x nj`` the result is ``prod(mj) x prod(nj)``.
     Materializes the full dense matrix: meant for small verification problems
@@ -32,4 +27,4 @@ def inv_kron_chain(factors) -> np.ndarray:
     fs = [linalg.as_matrix(f) for f in factors]
     if not fs:
         raise ValueError("factor list must be non-empty")
-    return reduce(inv_kron, fs)
+    return reduce(lambda a, b: np.kron(b, a), fs)

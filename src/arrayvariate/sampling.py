@@ -13,12 +13,12 @@ normals are drawn into the output's own rows, and division by their divisors
 is the tile's entry step.  The engine pushes them through the model's
 per-mode factors, held in Fortran order, and hands back the ``(m, w)`` block,
 which is shifted by the location and written back over the same rows.
-Nothing is computed by quadrature or inversion.
+Nothing is computed by quadrature or inversion.  ``sample_elliptical`` views those rows as arrays.
 """
 
 import numpy as np
 
-from .array_core import rvec, unrvec, whole
+from .array_core import rvec, unrvec_rows, whole
 from .multilinear import map_tiles
 
 _MASK64 = (1 << 64) - 1
@@ -33,7 +33,7 @@ def _splitmix64(z: int) -> int:
 
 
 class RandomStream:
-    """Deterministic random source: a 64-bit seed plus opaque counter state.
+    """Deterministic random source: a whole-number seed, taken modulo 2**64, plus opaque counter state.
 
     The same seed reproduces the same sample sequence bitwise (single
     threaded).  A stream has a single owner; parallel tasks each get their own
@@ -41,7 +41,7 @@ class RandomStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = whole(seed, -np.inf, "seed") & _MASK64
         self.generator = np.random.default_rng(self.seed)
 
     def split(self, task_index: int) -> "RandomStream":
@@ -70,7 +70,7 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
     """
     n = whole(n, 0, "draw count")
     gen = stream.generator
-    divisors = np.broadcast_to(model.kernel.radius_divisor(n, gen), n)
+    divisors = np.broadcast_to(model.kernel._radius_divisor(n, gen), n)
     rows = np.empty((n, model.m))
     mean = rvec(model.mean)
 
@@ -83,11 +83,10 @@ def sample_elliptical_rvecs(model, n, stream) -> np.ndarray:
             np.add(block.T, mean, out=done)  # the tile's draws replace its normals
             if not np.isfinite(done).all():
                 k = tile.start + int(np.argmin(np.isfinite(done).all(axis=1)))
-                raise model.kernel.unrepresentable(k, "it overflows")
+                raise model.kernel._unrepresentable(k, "it overflows")
     return rows
 
 
 def sample_elliptical(model, n, stream) -> list:
     """n draws from the model as a list of arrays of the model's shape."""
-    rows = sample_elliptical_rvecs(model, n, stream)
-    return [unrvec(row, model.shape) for row in rows]
+    return list(unrvec_rows(sample_elliptical_rvecs(model, n, stream), model.shape))

@@ -9,8 +9,8 @@ Three checks, each yielding a :class:`McReport`:
   within 5 standard errors;
 * radial — Kolmogorov-Smirnov test of the radii of the model's own draws,
   standardized by the density's path, against the closed-form CDF of the
-  radial law (``r^2 ~ chi2_m`` for the normal kernel, ``r^2 / m ~ F(m, df)``
-  for the t kernel); pass when p >= 0.01.
+  radial law, ``densities.radial_cdf`` (``r^2 ~ chi2_m`` for the normal kernel,
+  ``r^2 / m ~ F(m, df)`` for t), taken from the kernel at the model's m; pass when p >= 0.01.
 
 Thresholds are loose enough that a fixed-seed suite false-fails rarely;
 every report reproduces exactly from (name, seed, n).
@@ -78,7 +78,7 @@ def check_normalization(model, n, stream) -> McReport:
     # zero; a weight that is not finite fails the check below, so the
     # floating-point warnings on the way there say nothing more
     with np.errstate(all="ignore"):
-        draws, log_q = model.kernel.importance_proposal(mu, k, n, gen)
+        draws, log_q = model.kernel._importance_proposal(mu, k, n, gen)
         try:
             log_w = logpdf_elliptical_rvecs(model, draws) - log_q
         except (ValueError, OverflowError):
@@ -163,7 +163,7 @@ def check_radial(model, n, stream) -> McReport:
     for start in range(0, n, block):
         stop = min(n, start + block)  # one block of draws is alive at a time
         radii[start:stop] = squared_norms(model, sample_elliptical_rvecs(model, stop - start, stream))
-    result = stats.ks_1samp(np.sqrt(radii, out=radii), lambda r: model.kernel.radial_cdf(r, model.m))
+    result = stats.ks_1samp(np.sqrt(radii, out=radii), lambda r: model.kernel._radial_cdf(r, model.m))
     return McReport(
         name=f"radial-{model.kernel.tag}-m{model.m}",
         estimate=float(result.pvalue),

@@ -404,7 +404,7 @@ def sample_elliptical_rvecs_untiled(model, n, stream) -> np.ndarray:
     from arrayvariate.array_core import rvec
 
     gen = stream.generator
-    divisors = np.broadcast_to(model.kernel.radius_divisor(n, gen), n)
+    divisors = np.broadcast_to(model.kernel._radius_divisor(n, gen), n)
     z = gen.standard_normal((n, model.m))
     rows = apply_modes_untiled(model.factors, np.divide(z.T, divisors, order="C").T, model.shape)
     return np.add(rows, rvec(model.mean), order="C")
@@ -420,7 +420,7 @@ def sample_elliptical_rvecs_spherical(model, n, stream) -> np.ndarray:
     z = gen.standard_normal((n, model.m))
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = norms / model.kernel.radius_divisor(n, gen)
+    radii = norms / model.kernel._radius_divisor(n, gen)
     spherical = np.divide(z.T, norms, order="C")
     spherical *= radii
     rows = apply_modes_untiled(model.factors, spherical.T, model.shape)

@@ -154,6 +154,7 @@ KERNELS = {"normal": dn.Kernel.normal(), "t5": dn.Kernel.student_t(5.0)}
 SCALARS = {
     "log_kernel_pdf": (dn.log_kernel_pdf, "squared radius t must be >= 0"),
     "radial_pdf": (dn.radial_pdf, "radius r must be >= 0"),
+    "radial_cdf": (dn.radial_cdf, "radius r must be >= 0"),
 }
 
 
@@ -182,6 +183,7 @@ WHOLE = {
     "apply_modes": (lambda v: ml.apply_modes([np.diag([1.0, 2.0, 3.0]), np.eye(2)], ROWS, (v, 2)),
                     "array dimension must be a whole number >= 1"),
     "split": (lambda v: sp.RandomStream(1).split(v).seed, "task index must be a whole number >= 0"),
+    "RandomStream": (lambda v: sp.RandomStream(v).seed, "seed must be a whole number >= -inf"),
     "write_records": (written, "values per line must be a whole number >= 1"),
 }
 

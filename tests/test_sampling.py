@@ -28,6 +28,11 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             sp.RandomStream(1).split(-1)
 
+    @pytest.mark.parametrize("seed", [0, 7, -1, -(2**63), 2**64 + 5, np.int64(-5)])
+    def test_whole_seed_is_taken_modulo_2_64(self, seed):
+        # negative and oversized whole seeds keep the 64-bit seed they always had
+        assert sp.RandomStream(seed).seed == int(seed) % 2**64
+
 
 class TestStdNormalArray:
     """Identity normal model: every draw's cells are i.i.d. standard normal."""
@@ -122,7 +127,7 @@ class TestRadius:
         with pytest.raises(NotImplementedError):
             radii(kernel, (2,), 3, sp.RandomStream(1))
         with pytest.raises(NotImplementedError):
-            kernel.radial_cdf(1.0, 2)
+            dn.radial_cdf(kernel, 1.0, 2)
 
 
 class TestElliptical:
@@ -222,7 +227,7 @@ class TestElliptical:
     def test_overflowing_draw_raises(self, monkeypatch, divisor, factor, mean):
         # each case overflows at a different step of a tile: z / d, the
         # per-mode map, or the location shift
-        monkeypatch.setattr(dn.NormalKernel, "radius_divisor", lambda self, n, gen: np.full(n, divisor))
+        monkeypatch.setattr(dn.NormalKernel, "_radius_divisor", lambda self, n, gen: np.full(n, divisor))
         model = dn.KroneckerModel(np.full((2, 3), mean), [factor * np.eye(2), np.eye(3)], dn.Kernel.normal())
         with pytest.raises(OverflowError, match=r"^normal kernel: draw \d+ is not representable in floating point \(it overflows\)$"):
             sp.sample_elliptical_rvecs(model, 200, sp.RandomStream(5))
