@@ -7,8 +7,6 @@ multilinear least squares), and a Monte Carlo verification harness.
 """
 
 from .array_core import (
-    dump_arrays,
-    parse_arrays,
     read_array,
     rvec,
     shape_size,
@@ -26,12 +24,10 @@ from .densities import (
     standardize,
 )
 from .errors import FormatError, SingularMatrixError
-from .kronecker import inv_kron_chain
 from .linalg import (
-    dump_matrix,
+    inv_kron_chain,
     inverse,
     l_inverse,
-    parse_matrix,
     read_matrix,
     write_matrix,
 )

@@ -97,7 +97,7 @@ def check_finite(out, rows, shape, name, result) -> None:
 # A record's values are its array's rvec, so n arrays of one shape are an
 # (n, m) stack of rows.  MATV1 (:mod:`arrayvariate.linalg`) is the same record
 # grammar under its own header, so both formats are written by
-# :func:`write_records` and read by :func:`parse_records`.  Both handle values
+# :func:`write_records` and read by :func:`read_records`.  Both handle values
 # a chunk of at most CHUNK at a time: the writer computes a chunk's digits
 # exactly in numpy, and writes 0, inf, nan, |x| < 1e-4 or >= 1e16 and chunks
 # too short to pay numpy's per-call cost through one FLOAT_FORMAT template, to
@@ -222,32 +222,21 @@ def write_records(header, dims, rows, per_line, write) -> None:
         write(piece if i else piece[1:])
 
 
-def _finite_arrays(arrays) -> list:
+def write_arrays(arrays, path) -> None:
+    """Write arrays to ``path`` as ARRV1, one mode-1 fiber per line; an empty or non-finite array is a ValueError."""
     arrays = list(map(as_array, arrays))
-    for i, a in enumerate(arrays, start=1):
+    for i, a in enumerate(arrays, start=1):  # checked before the file is opened: a rejected call creates no file
+        try:
+            shape_size(a.shape)
+        except ValueError as exc:
+            raise ValueError(f"array {i}: {exc}") from None
         if not np.isfinite(a).all():
             check_finite(a, rvec(a)[None, :], a.shape, f"array {i}", "")
-    return arrays
-
-
-def _write_arrays(arrays, write) -> None:
-    for i, (shape, group) in enumerate(groupby(arrays, key=np.shape)):
-        if i:
-            write("\n")
-        write_records("ARRV1", shape, [rvec(a) for a in group], shape[0], write)
-
-
-def dump_arrays(arrays) -> str:
-    """Render a sequence of arrays, blank-line separated, one mode-1 fiber per line; a nan or inf is a ValueError."""
-    out = []
-    _write_arrays(_finite_arrays(arrays), out.append)
-    return "".join(out)
-
-
-def write_arrays(arrays, path) -> None:
-    arrays = _finite_arrays(arrays)  # checked before the file is opened: a rejected call creates no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_arrays(arrays, fh.write)
+        for i, (shape, group) in enumerate(groupby(arrays, key=np.shape)):
+            if i:
+                fh.write("\n")
+            write_records("ARRV1", shape, [rvec(a) for a in group], shape[0], fh.write)
 
 
 class _Replay(Exception):
@@ -255,7 +244,7 @@ class _Replay(Exception):
 
 
 def _records(lines, source, header, order):
-    # parse_records' records in the iterator `lines`, a (dims, rows) block per step once converted; a sign of a
+    # read_records' records in the iterator `lines`, a (dims, rows) block per step once converted; a sign of a
     # fault sends the walk back to `mark` in exact mode, which converts each token as it passes
     window, base = [], 0  # the lines, from line `base` (0-based) on, that the parse may still need
     pieces, pending = [], []  # converted values of the current step; tokens not yet converted
@@ -378,30 +367,11 @@ def _records(lines, source, header, order):
             lineno, m, read, dims, dims_text = mark
 
 
-def parse_records(text, source, header, order=None) -> list:
-    """Parse zero or more ``header`` records from ``text`` into ``(dims, rows)`` pairs.
-
-    Each run of consecutive records of one shape gives one pair: ``rows`` is
-    the ``(k, m)`` block of their values, one record per row, in file order.
-    With ``order`` set, every dims line must list exactly that many
-    dimensions.  Raises :class:`FormatError` with ``source:line:`` at the
-    first fault in file order, including a nan or inf value, which counts as
-    found once its record has been read in full.
-    """
-    blocks = _records(iter(text.splitlines()), source, header, order)
-    return [(dims, np.concatenate([rows for _, rows in run])) for dims, run in groupby(blocks, key=lambda b: b[0])]
-
-
-def parse_arrays(text, source="<string>") -> list:
-    """Parse zero or more ARRV1 arrays from ``text``.
-
-    Raises :class:`FormatError` with ``source:line:`` on any malformed input.
-    """
-    return [a for dims, rows in parse_records(text, source, "ARRV1") for a in unrvec_rows(rows, dims)]
-
-
 def read_records(path, header, order=None):
-    """Yield the records of the file at ``path`` in ``(dims, rows)`` blocks of one step each, as they are read."""
+    """Yield the records of the file at ``path`` in ``(dims, rows)`` blocks of one step each, as they are read.
+
+    ``rows`` holds the step's records, one per row; with ``order`` set, each dims line must list that many dims.
+    A :class:`FormatError` names ``path:line:`` of the first fault in file order, a nan or inf once its record ends."""
     with open(path, "rb") as fh:  # decoded a block of whole lines at a time: no "\r\n" or UTF-8 sequence is split
         blocks = (b if b.endswith(b"\n") else b + fh.readline() for b in iter(lambda: fh.read(1 << 16), b""))
         texts = (b.decode("utf-8", "surrogateescape") for b in blocks)  # a byte that is not UTF-8 makes a bad token

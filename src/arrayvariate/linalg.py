@@ -1,5 +1,5 @@
-"""Small dense matrix kernel: pivot-checked inverses, and the left inverse
-``(A'A)^{-1}A'`` used by least squares.
+"""Small dense matrix kernel: pivot-checked inverses, the left inverse
+``(A'A)^{-1}A'`` used by least squares, and the reversed Kronecker chain.
 
 Everything here targets the tiny per-mode factors of a Kronecker model.  A
 square matrix is accepted when its LU factorization with partial pivoting
@@ -12,9 +12,11 @@ Only numpy is used, so importing this module loads no scipy.  Matrices are
 with a ``ValueError`` naming the first non-finite entry.
 """
 
+from functools import reduce
+
 import numpy as np
 
-from .array_core import only_record, parse_records, read_records, write_records
+from .array_core import only_record, read_records, shape_size, write_records
 from .errors import SingularMatrixError
 
 # Reject a factorization when min |pivot| < PIVOT_RTOL * max |pivot|.
@@ -116,6 +118,20 @@ def l_inverse(a) -> np.ndarray:
         return np.ldexp(np.linalg.solve(gram, b.T), -e)
 
 
+def inv_kron_chain(factors) -> np.ndarray:
+    """Left-associated fold of the reversed Kronecker product ``A (x)' B = np.kron(B, A)`` over ordered factors.
+
+    The reversal makes chained per-mode maps act directly on the first-index-fastest stacked vector: the
+    classical ``vec(A X B') = (B (x) A) vec(X)`` reads ``rvec(A X B') = (A (x)' B) rvec(X)``, so the fold over
+    ``(A1, ..., Ai)`` is the matrix of the whole multilinear map, factors in mode order, with log-determinant
+    ``KroneckerModel.log_jac``.  Factors of sizes ``mj x nj`` give a dense ``prod(mj) x prod(nj)`` matrix,
+    meant for small verification problems and oracles, not for density or sampling hot paths."""
+    fs = [as_matrix(f) for f in factors]
+    if not fs:
+        raise ValueError("factor list must be non-empty")
+    return reduce(lambda a, b: np.kron(b, a), fs)
+
+
 # ---------------------------------------------------------------------------
 # MATV1 text format: the ARRV1 record grammar (see arrayvariate.array_core)
 # with exactly one record per file
@@ -125,23 +141,11 @@ def l_inverse(a) -> np.ndarray:
 #   then:    r*c whitespace-separated reals in row-major reading order
 # ---------------------------------------------------------------------------
 
-def dump_matrix(a) -> str:
-    a = as_matrix(a)
-    out = []
-    write_records("MATV1", a.shape, a.reshape(1, -1), a.shape[1], out.append)
-    return "".join(out)
-
-
 def write_matrix(a, path) -> None:
-    text = dump_matrix(a)  # checked before the file is opened: a rejected call creates no file
+    a = as_matrix(a)  # checked before the file is opened: a rejected call creates no file
+    shape_size(a.shape)  # the reader accepts no zero dimension
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def parse_matrix(text, source="<string>") -> np.ndarray:
-    """Parse one MATV1 matrix; :class:`FormatError` names source and line."""
-    dims, values = only_record(parse_records(text, source, "MATV1", order=2), source, "matrix")
-    return values.reshape(dims)
+        write_records("MATV1", a.shape, a.reshape(1, -1), a.shape[1], fh.write)
 
 
 def read_matrix(path) -> np.ndarray:

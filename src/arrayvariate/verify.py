@@ -12,8 +12,10 @@ Three checks, each yielding a :class:`McReport`:
   radial law, ``densities.radial_cdf`` (``r^2 ~ chi2_m`` for the normal kernel,
   ``r^2 / m ~ F(m, df)`` for t), taken from the kernel at the model's m; pass when p >= 0.01.
 
-Thresholds are loose enough that a fixed-seed suite false-fails rarely;
-every report reproduces exactly from (name, seed, n).
+Every report reproduces exactly from (name, seed, n), but correct models do fail
+(ROADMAP direction 2).  At n = 10,000 the covariance check fails 8-9 of 200 seeds
+at t3 and 44-71 of 200 at t2.5, the normalization check fails 20 of 20 seeds from
+df 1e15, and at factor scale 1e300 the covariance record is nan.
 """
 
 import math
@@ -23,7 +25,7 @@ import numpy as np
 
 from .array_core import rvec, whole
 from .densities import logpdf_elliptical_rvecs, squared_norms
-from .kronecker import inv_kron_chain
+from .linalg import inv_kron_chain
 from .sampling import sample_elliptical_rvecs
 
 MAX_NORMALIZATION_CELLS = 6

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 
@@ -208,7 +210,7 @@ def to_monolinear(model) -> MonolinearNormal:
     dense.
     """
     from arrayvariate.array_core import rvec
-    from arrayvariate.kronecker import inv_kron_chain
+    from arrayvariate.linalg import inv_kron_chain
 
     if model.m > MAX_MONOLINEAR_CELLS:
         raise ValueError(
@@ -303,7 +305,7 @@ def monolinear_equiv_check(maps, x) -> float:
     applied to ``rvec(x)``; on well-scaled inputs the gap stays below 1e-10.
     """
     from arrayvariate.array_core import as_array, rvec
-    from arrayvariate.kronecker import inv_kron_chain
+    from arrayvariate.linalg import inv_kron_chain
     from arrayvariate.multilinear import r_multiply
 
     x = as_array(x)
@@ -357,20 +359,34 @@ def lstsq_residual(maps, y, x) -> float:
     return sq_norm(as_array(y) - r_multiply(maps, x))
 
 
-def dump_array(x) -> str:
-    """One array in ARRV1 text form."""
-    from arrayvariate.array_core import dump_arrays
+def written(write, value) -> str:
+    """The text that ``write(value, path)`` writes to a file, such as ``write_arrays`` or ``write_matrix``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "written")
+        write(value, path)
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
 
-    return dump_arrays([x])
+
+def dump_array(x) -> str:
+    """One array in ARRV1 text form, as ``write_arrays`` writes it."""
+    from arrayvariate.array_core import write_arrays
+
+    return written(write_arrays, [x])
 
 
 def read_arrays(path) -> list:
     """Every ARRV1 array in the file at ``path``."""
-    from arrayvariate.array_core import parse_arrays
+    from arrayvariate.array_core import read_records, unrvec_rows
 
-    with open(path) as fh:
-        text = fh.read()
-    return parse_arrays(text, source=str(path))
+    return [a for dims, rows in read_records(path, "ARRV1") for a in unrvec_rows(rows, dims)]
+
+
+def arrays_in(text) -> list:
+    """Every ARRV1 array in ``text`` (a command's output, say), read by the reference reader."""
+    from arrayvariate.array_core import unrvec
+
+    return [unrvec(values, dims) for dims, values in parse_records_oracle(text, "<text>", "ARRV1")]
 
 
 def apply_modes_untiled(maps, rows, shape) -> np.ndarray:

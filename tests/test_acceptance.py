@@ -12,13 +12,12 @@ from scipy import stats
 
 from arrayvariate import cli
 from arrayvariate import densities as dn
-from arrayvariate import kronecker as kr
 from arrayvariate import linalg
 from arrayvariate import multilinear as ml
 from arrayvariate import sampling as sp
 from arrayvariate import verify as vf
 from arrayvariate.array_core import rvec, write_arrays
-from arrayvariate.linalg import write_matrix
+from arrayvariate.linalg import inv_kron_chain, write_matrix
 from support import (
     chain_trace,
     lstsq_residual,
@@ -66,8 +65,8 @@ def test_c2_kronecker_identity_suite():
         n, p = trial_dims(), trial_dims()
         a1, a2 = gen.standard_normal((2, n, n))
         b1, b2 = gen.standard_normal((2, p, p))
-        gap = np.max(np.abs(kr.inv_kron_chain([a1, b1]) @ kr.inv_kron_chain([a2, b2])
-                            - kr.inv_kron_chain([a1 @ a2, b1 @ b2])))
+        gap = np.max(np.abs(inv_kron_chain([a1, b1]) @ inv_kron_chain([a2, b2])
+                            - inv_kron_chain([a1 @ a2, b1 @ b2])))
         worst_mixed = max(worst_mixed, gap)
     if worst_mixed > 1e-10:
         failures.append(f"mixed-product {worst_mixed:.2e}")
@@ -76,8 +75,8 @@ def test_c2_kronecker_identity_suite():
     for _ in range(200):
         a = well_conditioned(gen, trial_dims())
         b = well_conditioned(gen, trial_dims())
-        gap = np.max(np.abs(linalg.inverse(kr.inv_kron_chain([a, b]))
-                            - kr.inv_kron_chain([linalg.inverse(a), linalg.inverse(b)])))
+        gap = np.max(np.abs(linalg.inverse(inv_kron_chain([a, b]))
+                            - inv_kron_chain([linalg.inverse(a), linalg.inverse(b)])))
         worst = max(worst, gap)
     if worst > 1e-9:
         failures.append(f"inverse {worst:.2e}")
@@ -87,8 +86,8 @@ def test_c2_kronecker_identity_suite():
         ra, rb = trial_dims(), trial_dims()
         a = well_conditioned(gen, ra + 1, int(gen.integers(1, ra + 1)))
         b = well_conditioned(gen, rb + 1, int(gen.integers(1, rb + 1)))
-        gap = np.max(np.abs(linalg.l_inverse(kr.inv_kron_chain([a, b]))
-                            - kr.inv_kron_chain([linalg.l_inverse(a), linalg.l_inverse(b)])))
+        gap = np.max(np.abs(linalg.l_inverse(inv_kron_chain([a, b]))
+                            - inv_kron_chain([linalg.l_inverse(a), linalg.l_inverse(b)])))
         worst = max(worst, gap)
     if worst > 1e-9:
         failures.append(f"l-inverse {worst:.2e}")
@@ -100,9 +99,9 @@ def test_c2_kronecker_identity_suite():
         b = gen.standard_normal((trial_dims(), trial_dims()))
         alpha, beta = gen.standard_normal(2)
         gap = max(
-            np.max(np.abs(kr.inv_kron_chain([a1 + a2, b]) - kr.inv_kron_chain([a1, b]) - kr.inv_kron_chain([a2, b]))),
-            np.max(np.abs(kr.inv_kron_chain([b, a1 + a2]) - kr.inv_kron_chain([b, a1]) - kr.inv_kron_chain([b, a2]))),
-            np.max(np.abs(kr.inv_kron_chain([alpha * a1, beta * b]) - alpha * beta * kr.inv_kron_chain([a1, b]))),
+            np.max(np.abs(inv_kron_chain([a1 + a2, b]) - inv_kron_chain([a1, b]) - inv_kron_chain([a2, b]))),
+            np.max(np.abs(inv_kron_chain([b, a1 + a2]) - inv_kron_chain([b, a1]) - inv_kron_chain([b, a2]))),
+            np.max(np.abs(inv_kron_chain([alpha * a1, beta * b]) - alpha * beta * inv_kron_chain([a1, b]))),
         )
         worst = max(worst, gap)
     if worst > 1e-12:
@@ -114,7 +113,7 @@ def test_c2_kronecker_identity_suite():
         a = gen.standard_normal((na, na))
         b = gen.standard_normal((nb, nb))
         lhs = chain_trace([a, b])
-        rhs = float(np.trace(kr.inv_kron_chain([a, b])))
+        rhs = float(np.trace(inv_kron_chain([a, b])))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     if worst > 1e-10:
         failures.append(f"trace {worst:.2e}")
@@ -124,7 +123,7 @@ def test_c2_kronecker_identity_suite():
         a = well_conditioned(gen, trial_dims())
         b = well_conditioned(gen, trial_dims())
         lhs = dn.KroneckerModel(np.zeros((len(a), len(b))), [a, b], dn.Kernel.normal()).log_jac
-        rhs = np.linalg.slogdet(kr.inv_kron_chain([a, b]))[1]
+        rhs = np.linalg.slogdet(inv_kron_chain([a, b]))[1]
         worst = max(worst, abs(lhs - rhs))
     if worst > 1e-9:
         failures.append(f"determinant {worst:.2e}")
@@ -136,7 +135,7 @@ def test_c2_kronecker_identity_suite():
         a = 0.5 * (a + a.T)
         b = gen.standard_normal((nb, nb))
         b = 0.5 * (b + b.T)
-        prod = kr.inv_kron_chain([a, b])
+        prod = inv_kron_chain([a, b])
         got = np.sort(np.linalg.eigvalsh(0.5 * (prod + prod.T)))
         expected = np.sort(np.outer(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)).ravel())
         worst = max(worst, float(np.max(np.abs(got - expected))))
@@ -155,7 +154,7 @@ def test_c3_jacobian_and_normalization():
     for _ in range(100):
         dims = random_shape(gen, max_order=3, max_dim=4, max_cells=64)
         fs = [well_conditioned(gen, d) for d in dims]
-        direct = np.linalg.slogdet(kr.inv_kron_chain(fs))[1]
+        direct = np.linalg.slogdet(inv_kron_chain(fs))[1]
         worst = max(worst, abs(dn.KroneckerModel(np.zeros(dims), fs, dn.Kernel.normal()).log_jac - direct))
     jac_ok = worst <= 1e-9
 

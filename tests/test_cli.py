@@ -12,11 +12,11 @@ import pytest
 
 from arrayvariate import cli, linalg
 from arrayvariate import multilinear as ml
-from arrayvariate.array_core import FLOAT_FORMAT, parse_arrays, read_array, read_records, write_arrays, write_records
+from arrayvariate.array_core import FLOAT_FORMAT, read_array, read_records, write_arrays, write_records
 from arrayvariate.densities import Kernel, KroneckerModel, logpdf_elliptical_rvecs, radial_pdf
 from arrayvariate.errors import FormatError
 from arrayvariate.linalg import write_matrix
-from support import SCIPY_LINALG, dump_array, read_arrays, well_conditioned
+from support import SCIPY_LINALG, arrays_in, dump_array, read_arrays, well_conditioned
 
 
 @pytest.fixture
@@ -161,7 +161,7 @@ class TestSample:
             assert captured.err.startswith("numerical error: mode 1:")
         else:
             values = (np.array(captured.out.split(), float) if command == "density"
-                      else np.concatenate([x.ravel() for x in parse_arrays(captured.out)]))
+                      else np.concatenate([x.ravel() for x in arrays_in(captured.out)]))
             assert values.size and np.isfinite(values).all()
 
     def test_malformed_factor_names_file_and_line(self, tmp_path, capsys):
@@ -474,7 +474,7 @@ class TestLstsq:
         y = np.arange(4.0).reshape(2, 2)
         write_arrays([y], inp)
         assert run_cli("lstsq", "--factor", f1, "--factor", f2, "--input", inp) == 0
-        (xhat,) = parse_arrays(capsys.readouterr().out)
+        (xhat,) = arrays_in(capsys.readouterr().out)
         np.testing.assert_allclose(xhat, y, atol=1e-12)
 
     def test_scalar_normal_equations(self, tmp_path, capsys):
@@ -483,7 +483,7 @@ class TestLstsq:
         inp = tmp_path / "y.arr"
         write_arrays([np.array([1.0, 3.0])], inp)
         assert run_cli("lstsq", "--factor", a, "--input", inp) == 0
-        (xhat,) = parse_arrays(capsys.readouterr().out)
+        (xhat,) = arrays_in(capsys.readouterr().out)
         np.testing.assert_allclose(xhat, [2.0])
 
     def test_square_invertible_recovery(self, tmp_path, capsys):
@@ -499,7 +499,7 @@ class TestLstsq:
         write_matrix(a2, p2)
         write_arrays([y], py)
         assert run_cli("lstsq", "--factor", p1, "--factor", p2, "--input", py) == 0
-        (xhat,) = parse_arrays(capsys.readouterr().out)
+        (xhat,) = arrays_in(capsys.readouterr().out)
         np.testing.assert_allclose(xhat, x0, atol=1e-9)
 
     def test_rank_deficient_exits_3(self, tmp_path, capsys):
@@ -781,7 +781,7 @@ class TestGoldenBytes:
         density = [np.array(data.decode().split(), float) for data in (got["density"], ref["density"])]
         np.testing.assert_allclose(*density, rtol=1e-13, atol=0)
         # an estimate cell is a sum with cancellation, so its error is relative to the largest cell
-        (estimate,), (expected,) = parse_arrays(got["lstsq"].decode()), parse_arrays(ref["lstsq"].decode())
+        (estimate,), (expected,) = arrays_in(got["lstsq"].decode()), arrays_in(ref["lstsq"].decode())
         assert np.max(np.abs(estimate - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -795,7 +795,7 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert result.returncode == 0
-        (first, second) = parse_arrays(result.stdout)
+        (first, second) = arrays_in(result.stdout)
         assert first.shape == (2,)
         assert second.shape == (2,)
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -298,6 +299,12 @@ class TestExtremeEntries:
             np.testing.assert_allclose(linalg.l_inverse(scale * np.eye(3)), np.eye(3) / scale, rtol=1e-15)
 
 
+def matv1_file(tmp_path, text):
+    path = tmp_path / "f.mat"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestMatv1:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_entry_creates_no_file(self, tmp_path, bad):
@@ -313,36 +320,37 @@ class TestMatv1:
         linalg.write_matrix(a, path)
         np.testing.assert_array_equal(linalg.read_matrix(path), a)
 
-    def test_layout(self):
-        text = linalg.dump_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        lines = text.splitlines()
+    def test_layout(self, tmp_path):
+        path = tmp_path / "m.mat"
+        linalg.write_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "MATV1"
         assert lines[1] == "dims 2 2"
         assert lines[2].split() == ["1", "2"]
 
-    def test_bad_header(self):
+    def test_bad_header(self, tmp_path):
         with pytest.raises(FormatError, match=r"f\.mat:1"):
-            linalg.parse_matrix("nope\n", source="f.mat")
+            linalg.read_matrix(matv1_file(tmp_path, "nope\n"))
 
-    def test_bad_token(self):
+    def test_bad_token(self, tmp_path):
         with pytest.raises(FormatError, match=r":3"):
-            linalg.parse_matrix("MATV1\ndims 1 2\n1 oops\n", source="f.mat")
+            linalg.read_matrix(matv1_file(tmp_path, "MATV1\ndims 1 2\n1 oops\n"))
 
-    def test_non_finite_token(self):
+    def test_non_finite_token(self, tmp_path):
         with pytest.raises(FormatError, match=r"f\.mat:4:.*'nan'"):
-            linalg.parse_matrix("MATV1\ndims 2 2\n1 2\nnan 4\n", source="f.mat")
+            linalg.read_matrix(matv1_file(tmp_path, "MATV1\ndims 2 2\n1 2\nnan 4\n"))
 
-    def test_truncated(self):
+    def test_truncated(self, tmp_path):
         with pytest.raises(FormatError, match="2 of 4"):
-            linalg.parse_matrix("MATV1\ndims 2 2\n1 2\n")
+            linalg.read_matrix(matv1_file(tmp_path, "MATV1\ndims 2 2\n1 2\n"))
 
-    def test_extra_token(self):
+    def test_extra_token(self, tmp_path):
         with pytest.raises(FormatError, match="extra token"):
-            linalg.parse_matrix("MATV1\ndims 1 2\n1 2 3\n")
+            linalg.read_matrix(matv1_file(tmp_path, "MATV1\ndims 1 2\n1 2 3\n"))
 
 
 # MATV1 is the ARRV1 record grammar under its own header. Each case parses to
-# the given values or fails with (line, message) under the source name f.mat.
+# the given values or fails with (line, message) when read from the file f.mat.
 MATV1_CASES = [
     pytest.param("MATV1\ndims 2 2\n1 2\n3 4\n", [[1, 2], [3, 4]], id="canonical"),
     pytest.param("\n\nMATV1\ndims 1 2\n1 2\n", [[1, 2]], id="leading-blank-lines"),
@@ -368,10 +376,11 @@ MATV1_CASES = [
 
 
 @pytest.mark.parametrize("text, expected", MATV1_CASES)
-def test_matv1_corner_cases(text, expected):
+def test_matv1_corner_cases(tmp_path, text, expected):
+    path = matv1_file(tmp_path, text)
     if isinstance(expected, tuple):
         line, message = expected
-        with pytest.raises(FormatError, match=rf"^f\.mat:{line}: .*{message}"):
-            linalg.parse_matrix(text, source="f.mat")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{line}: .*{message}"):
+            linalg.read_matrix(path)
     else:
-        np.testing.assert_array_equal(linalg.parse_matrix(text, source="f.mat"), np.array(expected, float))
+        np.testing.assert_array_equal(linalg.read_matrix(path), np.array(expected, float))

@@ -9,7 +9,7 @@ from arrayvariate import linalg
 from arrayvariate import multilinear as ml
 from arrayvariate import sampling as sp
 from arrayvariate.errors import SingularMatrixError
-from arrayvariate.kronecker import inv_kron_chain
+from arrayvariate.linalg import inv_kron_chain
 from support import (
     composition_check,
     lstsq_residual,

@@ -1,6 +1,7 @@
-"""The package's public surface, pinned: an export added or removed, or a
-kernel method made public, shows up in this file's diff."""
+"""The package's public surface, pinned: an export or a submodule added or
+removed, or a kernel method made public, shows up in this file's diff."""
 
+import pkgutil
 import types
 
 import pytest
@@ -10,16 +11,14 @@ from arrayvariate import Kernel
 
 PUBLIC = {
     # array_core
-    "dump_arrays", "parse_arrays", "read_array", "rvec", "shape_size", "unrvec", "write_arrays",
+    "read_array", "rvec", "shape_size", "unrvec", "write_arrays",
     # densities
     "Kernel", "KroneckerModel", "log_kernel_pdf", "logpdf_elliptical", "logpdf_elliptical_rvecs",
     "radial_cdf", "radial_pdf", "standardize",
     # errors
     "FormatError", "SingularMatrixError",
-    # kronecker
-    "inv_kron_chain",
     # linalg
-    "dump_matrix", "inverse", "l_inverse", "parse_matrix", "read_matrix", "write_matrix",
+    "inv_kron_chain", "inverse", "l_inverse", "read_matrix", "write_matrix",
     # multilinear
     "multilinear_lstsq", "r_multiply",
     # sampling
@@ -32,8 +31,15 @@ PUBLIC = {
 def test_public_names_are_pinned():
     exported = {name for name, value in vars(arrayvariate).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 31
     assert exported == PUBLIC
+
+
+MODULES = {"array_core", "cli", "densities", "errors", "linalg", "multilinear", "sampling", "verify"}
+
+
+def test_submodules_are_pinned():
+    assert {module.name for module in pkgutil.iter_modules(arrayvariate.__path__)} == MODULES
 
 
 # a kernel's math is private: it is reached through log_kernel_pdf, radial_pdf

@@ -7,7 +7,7 @@ from scipy import stats
 from arrayvariate import densities as dn
 from arrayvariate import sampling as sp
 from arrayvariate.array_core import rvec
-from arrayvariate.kronecker import inv_kron_chain
+from arrayvariate.linalg import inv_kron_chain
 from support import model_radii, random_model, sq_norm
 
 
