@@ -14,7 +14,8 @@ stays 0-based.
 
 import math
 import numbers
-from itertools import chain, groupby, islice
+import re
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -101,23 +102,37 @@ def check_finite(out, rows, shape, name, result) -> None:
 # a chunk of at most CHUNK at a time: the writer computes a chunk's digits
 # exactly in numpy, and writes 0, inf, nan, |x| < 1e-4 or >= 1e16 and chunks
 # too short to pay numpy's per-call cost through one FLOAT_FORMAT template, to
-# the same bytes (:func:`_format`).  The reader converts a step's tokens at once
-# with one ``map(float, ...)``, so a value token is anything ``float()`` accepts.
-# When m <= CHUNK, a step takes the records that repeat the previous record's
-# lines (a writer's run of one shape), up to CHUNK // m at a time, reading lines
-# as it goes, and hands them on as one (k, m) block of rows.  A step holding a
-# fault (a line out of place, a token float() rejects, a nan or inf) is read
-# again token by token, which names the first fault in file order.
+# the same bytes (:func:`_format`).  A reader step converts the value tokens of
+# the writer's grammar [-]digits[.digits][e(+|-)d{1,3}] from the step's bytes
+# in numpy, exactly as float() would (:func:`_values`), and sends float() the
+# tokens out of that grammar one at a time, so a value token is anything
+# float() accepts.  A step holding anything else is read again by the
+# token-by-token walk (:func:`_walk`), which names the first fault in file
+# order and reads the rest of the file: a byte out of "0-9.-+eE", space and
+# "\n" among its values (a tab, "\r" or another str.splitlines break, a byte
+# that is not UTF-8), a header or dims line that is not printable ASCII, a line
+# out of place, a token float() rejects, a nan or inf.  When m <= CHUNK, a step
+# takes the records that repeat its first record's lines (a writer's run of one
+# shape), up to CHUNK // m, and hands them on as one (k, m) block of rows; a
+# longer record is read in steps of about CHUNK values.  The first values of a
+# run of short records are read token by token (SHORT_STEP).
 # ---------------------------------------------------------------------------
 
-# Values per chunk when writing, and per run step of the reader, which
-# converts a step's tokens at once.  4,096 formats and parses as fast as 65,536
-# did, and keeps the reader's list of pending token strings near 0.25 MB.
+# Values per chunk when writing, and per step of the reader.  4,096 formats as
+# fast as 65,536 did, and keeps a reader step's bytes near 0.1 MB.
 CHUNK = 4096
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: lossless float64 round trip
 # Chunks with fewer values in the numpy formatter's range use the template: on normal draws (2 shared
 # cores) both took about 0.2 ms at 256 values (188 against 211 us), and at 512 numpy took 276 against 483 us.
 SHORT_CHUNK = 256
+# The first SHORT_STEP values of a run of records with fewer values each are read token by token, so that a run
+# too short to pay a byte step's numpy calls takes none: read alone (2 shared cores), 512 values took 229 us so
+# against 357 us in a byte step, and 1,024 values 433 against 429 us.  Read so, a record's header, dims and line
+# ends cost about as much as RECORD_VALUES values (10.7 against 0.385 us), and count as that many.
+SHORT_STEP = 1024
+RECORD_VALUES = 28
+_VALUE_BYTES = b"0123456789.-+eE"
+_BLANK = re.compile(rb"[ \n]*")
 
 _U = np.uint64
 _POW10 = np.array([float(10 ** j) for j in range(23)])  # exact: 5**22 < 2**53
@@ -240,131 +255,376 @@ def write_arrays(arrays, path) -> None:
 
 
 class _Replay(Exception):
-    """A sign of a fault in the step being read: the step is read again in exact mode."""
+    """A sign of a fault, or of a byte the byte step leaves alone, in the step being read."""
 
 
-def _records(lines, source, header, order):
-    # read_records' records in the iterator `lines`, a (dims, rows) block per step once converted; a sign of a
-    # fault sends the walk back to `mark` in exact mode, which converts each token as it passes
-    window, base = [], 0  # the lines, from line `base` (0-based) on, that the parse may still need
-    pieces, pending = [], []  # converted values of the current step; tokens not yet converted
-    exact, nonfinite = False, None  # exact mode; in it, (line number, message) of the record's first nan/inf
+# --- the reader's converter ------------------------------------------------
+#
+# _values converts the value tokens of a step's bytes that match the grammar
+# [-]digits[.digits][e(+|-)d{1,3}] in numpy, exactly, as float() would.  A token
+# is gathered as the 24 bytes that end at its last byte, three little-endian
+# words, with the bytes before it cleared.  Its digits, read 8 to a word as the
+# writer builds them, give D < 10**19, every digit of the token in order, and
+# the decimal exponent e: the value is D * 10**e.
 
-    def have(ln):  # whether line ln exists; lines are read into the window a few beyond it
-        if ln >= base + len(window):
-            window.extend(islice(lines, ln + 32 - base - len(window)))
-        return ln < base + len(window)
+# row n: the last n of 24 bytes, as three little-endian words
+_LAST = np.array([[sum(0xFF << 8 * (j - 8 * w) for j in range(8 * w, 8 * w + 8) if j >= 24 - n) for w in range(3)]
+                  for n in range(25)], _U)
+_GATHER = _U(0x0102_0408_1020_4080)  # a word of bits 8j times this holds bit j in its top byte
+_P10 = np.array([10 ** j for j in range(20)], _U)
+# the non-digit bytes 19-23 of a token past its sign (bit j: byte 19 + j) -> the byte of its 'e', 24 for none
+_E_AT = np.full(32, -1)
+_E_AT[[0, 1, 2, 4, 8, 16]] = 24
+_E_AT[[3, 6, 12]] = [19, 20, 21]
+_E_LOW = -342  # powers of ten 10**_E_LOW to 10**308: a value out of them is not a normal double
+
+
+def _powers_of_ten(high=308):
+    """``(hi, lo, s, hi's high half, hi's low half)`` for e from _E_LOW to ``high``, with hi in [1, 2): ``hi + lo``
+    is 10**e / 2**s cut after 105 bits, so 0 <= 10**e / 2**s - (hi + lo) < 2**-105 and 0 <= lo < 2**-52; the
+    halves of hi have 26 and 27 bits, for Dekker's product."""
+    tens = [1]
+    while len(tens) <= max(-_E_LOW, high):
+        tens.append(tens[-1] * 10)
+    cuts, scales = [], []
+    for e in range(_E_LOW, high + 1):
+        bits = tens[abs(e)].bit_length()
+        scales.append(bits - 1 if e >= 0 else -bits)
+        cuts.append(tens[e] << 105 >> bits - 1 if e >= 0 else (1 << 105 + bits) // tens[-e])  # 10**e * 2**(105 - s)
+    hi = np.array([t >> 53 for t in cuts], np.float64) / 2.0 ** 52
+    c = 134217729.0 * hi
+    return (hi, np.array([t & (1 << 53) - 1 for t in cuts], np.float64) / 2.0 ** 105, np.array(scales),
+            c - (c - hi), hi - (c - (c - hi)))
+
+
+_PH, _PL, _PS, _PH_HI, _PH_LO = _powers_of_ten()
+
+
+def _values(buf, ends, sizes):
+    """The values of the tokens ``buf[e - n:e]`` for e, n in ``ends`` and ``sizes``; every token ends 24 or
+    more bytes into ``buf``.  A token out of the grammar, or whose value rounds too near the midpoint of two
+    doubles to tell from its double-double product, or is not a normal double below 2**1023, goes to
+    ``float()``; one that ``float()`` rejects, holds a byte out of "0-9.+-eE" or is not finite raises _Replay."""
+    with np.errstate(all="ignore"):  # a token out of the grammar may overflow; its value is not used
+        n = len(ends)
+        b = np.frombuffer(buf, np.uint8)
+        at = ends - 24
+        short = np.minimum(sizes, 24)
+        keep = _LAST.take(short, axis=0)
+        x = np.ndarray((len(buf) - 23,), "V24", buf, 0, (1,))[at].view("<u8").reshape(n, 3) & keep
+        value = x.view(np.uint8) - np.uint8(0x30)
+        digit = value < 10
+        g = (~digit).view("<u8") * _GATHER >> _U(56)
+        start = 24 - short
+        first = np.left_shift(1, start)
+        other = (g[:, 0] | g[:, 1] << _U(8) | g[:, 2] << _U(16)).view(np.int64) & -first  # bit j: byte j, no digit
+        neg = (other & first) != 0  # a sign byte; it must be '-'
+        rest = other & ~first
+        pe = _E_AT.take(rest >> 19)  # bytes pe and pe + 1 are 'e' and the exponent's sign
+        rest &= ~np.left_shift(3, pe)
+        q = np.frexp(rest.astype(np.float64))[1] - 1  # the point's byte, -1 for none
+        digits = ~other & (1 << 24) - first
+        point = q >= 0
+        sign = b.take(at + pe + 1, mode="clip")
+        ok = (pe >= 0) & (rest & (rest - 1) == 0) & (sizes <= 24) & (digits & (first << neg) != 0)
+        ok &= ~point | (np.right_shift(digits << 1, q) & 5 == 5) & (b.take(at + q, mode="clip") == 0x2E)
+        ok &= ~neg | (b.take(at + start) == 0x2D)
+        ok &= (pe == 24) | (b.take(at + pe, mode="clip") == 0x65) & ((sign == 0x2B) | (sign == 0x2D))
+        # the digits of each word as one number, first digit most significant, the others 0
+        v = (value * digit).view("<u8")
+        v = (v * _U(2561)) >> _U(8) & _U(0x00FF_00FF_00FF_00FF)
+        v = (v * _U(6553601)) >> _U(16) & _U(0x0000_FFFF_0000_FFFF)
+        v = (v * _U(42949672960001)) >> _U(32)
+        tail = np.minimum(24 - pe, 5)  # bytes of "e+dd", the last of them the exponent's digits
+        last = v[:, 2].astype(np.float64)
+        cut = np.floor(last / _POW10.take(tail))  # exact: last < 10**8
+        power = last - cut * _POW10.take(tail)
+        # the mantissa's digits with a 0 for its point, below 10**19 if v[:, 0] < 10**(3 + tail)
+        mant = (v[:, 0] * _U(10 ** 8) + v[:, 1]) * _P10.take(8 - tail) + cut.astype(_U)
+        ok &= v[:, 0] < _P10.take(3 + tail)
+        frac = (pe - q - 1) * point  # digits after the point
+        f = np.minimum(frac + 18 * ~point, 18)
+        d = mant - _U(9) * _P10.take(f, mode="clip") * (mant // _P10.take(f + 1, mode="clip"))  # the point's 0 out
+        e = (power * (1 - 2 * ((pe < 24) & (sign == 0x2D)))).astype(int) - frac
+        df = d.astype(np.float64)
+        fast = (d < _U(1 << 53)) & (np.abs(e) <= 22)
+        # Clinger's case: D and 10**|e| are exact doubles, so one multiply or divide rounds correctly
+        val = df * _POW10.take(np.maximum(e, 0), mode="clip") / _POW10.take(np.maximum(-e, 0), mode="clip")
+        if not fast.all():
+            # The error bound.  Y = D * p with p = 10**e / 2**s in [1, 2), and P = hi + lo from the table:
+            # 0 <= p - P < 2**-105 and 0 <= lo < 2**-52.  D = df + dl exactly, |dl| <= 2**-52 * df however
+            # the conversion to float rounds.  h + l = df * hi exactly (Dekker's product), and with
+            # lo' = l + (df * lo + dl * hi) summed in floating point,
+            #   Y - (h + lo') = df (p - P) + dl (p - hi) + (l + df * lo + dl * hi - lo').
+            # The first term is below 2**-105 Y and the second below 2**-52 * 2**-51.9 Y.  The roundings in
+            # lo' are of two products below 2**-52 Y and 2**-51 Y, their sum and a total below 2**-50 Y:
+            # 2**-105 + 2**-104 + 1.5 * 2**-104 + 2**-103 in units of Y.  So |Y - (h + lo')| < 6.5 * 2**-104 Y
+            # < 2**-101 Y.  r = h + lo' rounded and res = h + lo' - r exactly (Fast2Sum), so r is Y correctly
+            # rounded when |res| + 2**-101 Y is below half the gap from r to its neighbour on res's side:
+            # 2**-53 * t with t = 2**floor(log2 r), or 2**-54 * t below r = t.  Y < 2t (1 + 2**-52), so
+            # 2**-98 * t bounds the error with room to spare.
+            k = np.clip(e - _E_LOW, 0, len(_PH) - 1)
+            hi = _PH.take(k)
+            dl = (d - df.astype(_U)).view(np.int64).astype(np.float64)
+            h = df * hi
+            ca = 134217729.0 * df
+            a_hi = ca - (ca - df)
+            a_lo = df - a_hi
+            b_hi, b_lo = _PH_HI.take(k), _PH_LO.take(k)
+            lo = (((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo) + (df * _PL.take(k) + dl * hi)
+            r = h + lo
+            res = np.abs(lo - (r - h))
+            t = (r.view(np.int64) & 0x7FF0_0000_0000_0000).view(np.float64)
+            y = np.ldexp(r, _PS.take(k))  # exact where y is a normal double; a clipped e puts y out of them
+            ok &= fast | (res < t * (2.0 ** -53 - 2.0 ** -98)) & ((res < t * (2.0 ** -54 - 2.0 ** -98)) | (r != t)) \
+                & (y >= 2.0 ** -1022) & (y < 2.0 ** 1023)
+            val = np.where(fast, val, y)
+        val *= 1.0 - 2.0 * neg
+        for i in np.flatnonzero(~ok).tolist():
+            token = buf[ends[i] - sizes[i]:ends[i]]
+            if token.translate(None, _VALUE_BYTES):
+                raise _Replay
+            try:
+                val[i] = float(token)
+            except ValueError:
+                raise _Replay from None
+        if not np.isfinite(val).all():
+            raise _Replay
+    return val
+
+
+def _scan(buf, a, z):
+    """Token and line bounds of ``buf[a:z]``, whole lines from a line start, the last ending at z: each
+    token's end and size, each line's token count and end (its "\\n", or z).  A byte below 0x20 other than
+    "\\n" raises _Replay."""
+    b = np.frombuffer(buf, np.uint8, z - a, a)
+    ws = np.flatnonzero(b <= 32)
+    ch = b.take(ws)
+    if ((ch != 32) & (ch != 10)).any():
+        raise _Replay
+    brk = ch == 10
+    if not brk.size or ws[-1] != z - a - 1 or not brk[-1]:  # the file's last line, with no "\n"
+        ws, brk = np.append(ws, z - a), np.append(brk, True)
+    gap = np.diff(ws, prepend=-1)
+    token = gap > 1  # a token ends at this space or line end
+    return ws[token] + a, gap[token] - 1, np.diff(np.cumsum(token)[brk], prepend=0), ws[brk] + a
+
+
+def _lines_of(head, blocks):
+    """The lines of the bytes ``head`` and then ``blocks``, as ``str.splitlines`` reads their UTF-8 text, a byte
+    that is not UTF-8 as a lone surrogate: decoded a run of whole lines at a time, so that no "\\r\\n" or UTF-8
+    sequence is split."""
+    for block in blocks:
+        head += block
+        cut = head.rfind(b"\n") + 1
+        yield from head[:cut].decode("utf-8", "surrogateescape").splitlines()
+        head = head[cut:]
+    yield from head.decode("utf-8", "surrogateescape").splitlines()
+
+
+def _walk(lines, source, header, order, lineno, record):
+    """The records in ``lines``, the text from line ``lineno`` (0-based) of ``source`` on, token by token: one
+    ``(dims, rows)`` block a record.  ``record`` is ``(dims, m, rows read before line lineno, their count)`` of a
+    record whose data lines ``lines`` go on with, or None.  A FormatError names the first fault in file order."""
+    window, base = [], lineno  # the lines from line `base` on that are read but not passed
+
+    def line():  # the text of line `lineno`, or None past the last
+        nonlocal base
+        if lineno == base + len(window):
+            base, window[:] = lineno, islice(lines, 64)
+        return window[lineno - base] if window else None
 
     def fail(ln, msg):
-        raise FormatError(f"{source}:{ln}: {msg}") if exact else _Replay
+        raise FormatError(f"{source}:{ln}: {msg}")
 
-    def convert():
-        try:
-            values = np.fromiter(map(float, pending), float, len(pending))
-        except ValueError:
-            raise _Replay from None
-        if not (exact or np.isfinite(values).all()):
-            raise _Replay
-        pieces.append(values)
-        pending.clear()
-
-    # Where a replay starts: the line, the record's dims and size m, the values of it read (m between
-    # records), and the last dims line read, whose text a run of same-shape records repeats.
-    lineno, m, read, dims, dims_text = mark = (0, 0, 0, None, None)
-    # Run step: the header line of the last record read (None when m > CHUNK),
-    # the token count of each of its data lines, and the number of records the
-    # next step tries to take, which doubles after each step up to CHUNK // m
-    # and drops to 1 after the line walk.
-    last, counts, take = None, [], 1
+    dims, m, head, read = record or (None, 0, [], 0)
     while True:
-        try:
-            if read == m:  # between records, not replaying from inside a long one
-                if pending or pieces:
-                    # the last step's records are read in full
-                    convert()
-                    yield dims, (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(-1, m)
-                    cut = lineno if last is None else last
-                    del window[:cut - base]
-                    base, pieces, mark = cut, [], (lineno, m, read, dims, dims_text)
-                while have(lineno) and not window[lineno - base].strip():
-                    lineno += 1
-                if lineno >= base + len(window):
-                    break
-                if not exact and last is not None and have(lineno + 1) and window[lineno + 1 - base] == dims_text:
-                    # Take the next records in one step when each repeats the last
-                    # record's lines: its header, dims and separator lines verbatim,
-                    # and its token count on every data line.  Anything else is left
-                    # to the line walk below, which reports the fault.  A next record
-                    # whose dims line differs (another shape, or other spacing) skips
-                    # the attempt, which costs more than walking a small record.
-                    period = lineno - last
-                    fixed = [(j, window[last + j - base]) for j in (0, 1, *range(2 + len(counts), period))]
-                    have(lineno + take * period - 1)
-                    k = min(take, (base + len(window) - lineno) // period)
-                    seg = window[lineno - base:lineno - base + k * period]
-                    if k and all(seg[j::period] == [line] * k for j, line in fixed):
-                        columns = [seg[j::period] for j in range(2, 2 + len(counts))]
-                        tokens = list(map(str.split, chain.from_iterable(zip(*columns))))
-                        if list(map(len, tokens)) == counts * k:
-                            pending += chain.from_iterable(tokens)
-                            last = lineno + (k - 1) * period
-                            lineno += k * period
-                            take = min(2 * take, CHUNK // m)
-                            continue
-                head = lineno
-                got = window[lineno - base].strip()
-                if got != header:
-                    fail(lineno + 1, f"expected {header} header, got {got!r}")
+        if read == m:  # between records
+            if m:
+                yield dims, np.concatenate(head).reshape(1, m)
+            while (text := line()) is not None and not text.strip():
                 lineno += 1
-                if not have(lineno):
-                    fail(lineno, "missing dims line")
-                if window[lineno - base] != dims_text:
-                    dims_line = window[lineno - base].split()
-                    if not dims_line or dims_line[0] != "dims":
-                        fail(lineno + 1, "expected 'dims m1 m2 ...' line")
+            if text is None:
+                return
+            if text.strip() != header:
+                fail(lineno + 1, f"expected {header} header, got {text.strip()!r}")
+            lineno += 1
+            if (text := line()) is None:
+                fail(lineno, "missing dims line")
+            if isinstance(dims := _dims_of(text, order), str):
+                fail(lineno + 1, dims)
+            m, head, read = shape_size(dims), [], 0
+            lineno += 1
+        values, nonfinite = [], None  # the record's first nan or inf: (line number, message)
+        while read < m:
+            if (text := line()) is None:
+                fail(base + len(window), f"unexpected end of input: got {read} of {m} values")
+            tokens = text.split()
+            if not tokens and not read:
+                fail(lineno + 1, "blank line before any data values")
+            try:
+                line_values = list(map(float, tokens[:m - read]))
+            except ValueError:
+                fail(lineno + 1, f"bad numeric token {next(t for t in tokens if _float_or_none(t) is None)!r}")
+            if nonfinite is None and not all(map(math.isfinite, line_values)):
+                t = tokens[[math.isfinite(v) for v in line_values].index(False)]
+                nonfinite = (lineno + 1, f"non-finite value {t!r}")
+            values += line_values
+            if len(tokens) > m - read:
+                fail(lineno + 1, f"extra token {tokens[m - read]!r} after {m} values")
+            read += len(tokens)
+            lineno += 1
+        if nonfinite:
+            fail(*nonfinite)
+        head.append(values)
+
+
+def _float_or_none(token):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _dims_of(text, order):
+    """The dims of a dims line's ``text``, or the message that names its fault."""
+    words = text.split()
+    if not words or words[0] != "dims":
+        return "expected 'dims m1 m2 ...' line"
+    try:
+        dims = tuple(int(t) for t in words[1:])
+    except ValueError:
+        return f"non-integer dimension in {text.strip()!r}"
+    if len(dims) < 1 or any(d < 1 for d in dims):
+        return f"invalid dims {dims}"
+    if order is not None and len(dims) != order:
+        return f"expected {order} dims, got {len(dims)}"
+    return dims
+
+
+def _records(blocks, source, header, order):
+    # read_records' records in the byte blocks, a (dims, rows) block per step; see the ARRV1 notes above
+    head_line = header.encode()
+    buf, at, lineno = b" " * 24, 24, 0  # bytes read; the next line starts at buf[at], line `lineno` (0-based)
+    ended = False  # whether buf holds the rest of the file
+    per_value = 24.0  # bytes a value took in the last byte step, with its share of the other lines
+
+    def more():  # add a block to buf; False at the end of the file
+        nonlocal buf, ended
+        block = next(blocks, b"")
+        buf += block
+        ended = not block
+        return not ended
+
+    def line_end(i):  # the end of the line from buf[i]: its "\n", or the end of the file
+        while (j := buf.find(b"\n", i)) < 0 and more():
+            pass
+        return j if j >= 0 else len(buf)
+
+    def window(size):  # the end of about `size` bytes of whole lines from `at`, at least one line
+        while len(buf) - at < size and more():
+            pass
+        if ended and len(buf) - at <= size:
+            return len(buf)
+        return buf.rfind(b"\n", at, at + size) + 1 or min(line_end(at) + 1, len(buf))
+
+    dims_text, dims, m, run = None, None, 0, 0  # the last dims line parsed, its dims and size, and its run's values
+    try:
+        while True:
+            if at > 1 << 17:
+                buf, at = buf[at - 24:], 24
+            while (end := _BLANK.match(buf, at).end()) == len(buf) and more():
+                pass
+            cut = buf.rfind(b"\n", at, end) + 1
+            if cut:
+                lineno, at = lineno + buf.count(b"\n", at, cut), cut
+            if end == len(buf):
+                return
+            mark = (at, lineno, None)
+            h = line_end(at)
+            d = line_end(h + 1)
+            if buf[at:h].strip(b" ") != head_line or h + 1 >= len(buf):
+                raise _Replay
+            if buf[h + 1:d] != dims_text:
+                dims_text = buf[h + 1:d]
+                if not (dims_text.isascii() and dims_text.decode().isprintable()):
+                    raise _Replay
+                if isinstance(dims := _dims_of(dims_text.decode(), order), str):
+                    raise _Replay
+                m, run = shape_size(dims), 0
+            if m < SHORT_STEP and run < SHORT_STEP:
+                # the first values of a run of short records: token by token
+                run, at, lineno, values = run + m + RECORD_VALUES, d + 1, lineno + 2, []
+                while len(values) < m:
+                    j = line_end(at)
+                    text = buf[at:j]
+                    if at >= len(buf) or text.translate(None, _VALUE_BYTES + b" ") or not (values or text.split()):
+                        raise _Replay
                     try:
-                        dims = tuple(int(t) for t in dims_line[1:])
+                        values += map(float, text.split())
                     except ValueError:
-                        fail(lineno + 1, f"non-integer dimension in {window[lineno - base].strip()!r}")
-                    if len(dims) < 1 or any(d < 1 for d in dims):
-                        fail(lineno + 1, f"invalid dims {dims}")
-                    if order is not None and len(dims) != order:
-                        fail(lineno + 1, f"expected {order} dims, got {len(dims)}")
-                    dims_text, m = window[lineno - base], shape_size(dims)
-                lineno += 1
-                counts, read, nonfinite = [], 0, None
+                        raise _Replay from None
+                    at, lineno = j + 1, lineno + 1
+                rows = np.array(values)
+                if len(values) > m or not np.isfinite(rows).all():
+                    raise _Replay
+                yield dims, rows.reshape(1, m)
+                continue
+            take = CHUNK // m  # records a step may take; 0: the record is read in chunks
+            pieces, read, skip = [], 0, 2  # the record's values so far; lines before its data in the step
             while read < m:
-                if not have(lineno):
-                    fail(base + len(window), f"unexpected end of input: got {read} of {m} values")
-                tokens = window[lineno - base].split()
-                if not tokens and not read:
-                    fail(lineno + 1, "blank line before any data values")
-                for t in tokens[:m - read] if exact else ():
-                    try:
-                        value = float(t)
-                    except ValueError:
-                        fail(lineno + 1, f"bad numeric token {t!r}")
-                    if nonfinite is None and not math.isfinite(value):
-                        nonfinite = (lineno + 1, f"non-finite value {t!r}")
-                if len(tokens) > m - read:
-                    fail(lineno + 1, f"extra token {tokens[m - read]!r} after {m} values")
-                pending += tokens
-                counts.append(len(tokens))
-                read += len(tokens)
-                lineno += 1
-                if len(pending) >= CHUNK and read < m:
-                    # a record of more than CHUNK values: convert what it has so far, let its lines go, and
-                    # replay from here should a later chunk hold a fault
-                    convert()
-                    del window[:lineno - base]
-                    base, mark = lineno, (lineno, m, read, dims, dims_text)
-            if nonfinite:
-                fail(*nonfinite)
-            last, take = (head if m <= CHUNK else None), 1
-        except _Replay:
-            exact = True
-            pending.clear()  # `pieces` holds the values converted before the mark
-            lineno, m, read, dims, dims_text = mark
+                if read:  # the next chunk of a long record: a replay starts here
+                    if at > 1 << 17:
+                        buf, at = buf[at - 24:], 24
+                    mark = (at, lineno, (dims, m, pieces, read))
+                start, size = at, int(per_value * (take * m or CHUNK)) + 256
+                while True:
+                    z = window(size)
+                    ends, sizes, counts, breaks = _scan(buf, at, z)
+                    total = np.cumsum(counts[skip:])
+                    j = int(np.searchsorted(total, m - read))  # the record's last data line
+                    if j < len(total) or ended or take == 0 and len(total) and total[-1]:
+                        break
+                    size *= 2
+                if not len(total) or skip and not total[0] or (total[j] != m - read if j < len(total) else ended):
+                    raise _Replay  # no data, a blank first data line, a token after the m-th, or the end of the file
+                first = int(counts[:skip].sum())  # tokens of the header and dims lines
+                if take == 0:
+                    lines, n = skip + min(j + 1, len(total)), int(total[min(j, len(total) - 1)])
+                    pieces.append(_values(buf, ends[first:first + n], sizes[first:first + n]))
+                    read += n
+                else:
+                    # the records that repeat this one's lines: header and dims lines verbatim, as many
+                    # tokens on each data line, and the same blank lines between records
+                    lines = skip + j + 1
+                    gap = np.flatnonzero(counts[lines:])
+                    period = lines + (int(gap[0]) if gap.size else len(counts) - lines)
+                    k = max(1, min(take, len(counts) // period))
+                    if k > 1:
+                        starts = np.concatenate(([at], breaks[:-1] + 1))
+                        size_of = breaks - starts
+                        tail = period * np.arange(1, k)
+                        same = (counts[period:k * period].reshape(k - 1, period) == counts[:period]).all(1)
+                        same &= (size_of[period:k * period].reshape(k - 1, period)[:, [0, 1, *range(lines, period)]]
+                                 == size_of[[0, 1, *range(lines, period)]]).all(1)
+                        text = np.frombuffer(buf, np.uint8)
+                        for row in (0, 1):
+                            n = int(size_of[row])
+                            pos = starts[tail + row, None] + np.arange(n)
+                            same &= (text.take(pos, mode="clip") == text[starts[row]:starts[row] + n]).all(1)
+                        k = int(np.argmin(same)) + 1 if not same.all() else k
+                        lines += (k - 1) * period
+                    per_record = int(counts[:skip + j + 1].sum())
+                    pick = (np.arange(k)[:, None] * per_record + np.arange(first, per_record)).ravel()
+                    pieces.append(_values(buf, ends[pick], sizes[pick]))
+                    read = m
+                at, lineno = int(breaks[lines - 1]) + 1, lineno + lines
+                per_value = (at - start) / max(len(pieces[-1]), 1)
+                skip = 0
+            yield dims, (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(-1, m)
+    except _Replay:
+        at, lineno, record = mark
+        yield from _walk(_lines_of(buf[at:], blocks), source, header, order, lineno, record)
 
 
 def read_records(path, header, order=None):
@@ -372,10 +632,8 @@ def read_records(path, header, order=None):
 
     ``rows`` holds the step's records, one per row; with ``order`` set, each dims line must list that many dims.
     A :class:`FormatError` names ``path:line:`` of the first fault in file order, a nan or inf once its record ends."""
-    with open(path, "rb") as fh:  # decoded a block of whole lines at a time: no "\r\n" or UTF-8 sequence is split
-        blocks = (b if b.endswith(b"\n") else b + fh.readline() for b in iter(lambda: fh.read(1 << 16), b""))
-        texts = (b.decode("utf-8", "surrogateescape") for b in blocks)  # a byte that is not UTF-8 makes a bad token
-        yield from _records(chain.from_iterable(map(str.splitlines, texts)), str(path), header, order)
+    with open(path, "rb") as fh:
+        yield from _records(iter(lambda: fh.read(1 << 16), b""), str(path), header, order)
 
 
 def only_record(blocks, source, noun) -> tuple:

@@ -8,8 +8,9 @@ elimination (one row swap and one rank-1 update per column), and the inverse
 then comes from ``numpy.linalg``.  The left inverse applies the same ratio
 test to the pivots of the Cholesky factor of ``A'A``.
 Only numpy is used, so importing this module loads no scipy.  Matrices are
-2-D float64 ndarrays with finite entries: ``as_matrix`` rejects any other
-with a ``ValueError`` naming the first non-finite entry.
+2-D float64 ndarrays with at least one row and column and finite entries:
+``as_matrix`` rejects any other with a ``ValueError``, naming a zero
+dimension as the array writers do, or the first non-finite entry.
 """
 
 from functools import reduce
@@ -27,6 +28,7 @@ def as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got an array of order {a.ndim}")
+    shape_size(a.shape)  # no zero dimension
     finite = np.isfinite(a)
     if not finite.all():  # name the first bad entry in reading order
         i, j = np.unravel_index(int(finite.argmin()), a.shape)
@@ -143,7 +145,6 @@ def inv_kron_chain(factors) -> np.ndarray:
 
 def write_matrix(a, path) -> None:
     a = as_matrix(a)  # checked before the file is opened: a rejected call creates no file
-    shape_size(a.shape)  # the reader accepts no zero dimension
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_records("MATV1", a.shape, a.reshape(1, -1), a.shape[1], fh.write)
 

@@ -13,6 +13,8 @@ import re
 import subprocess
 import sys
 from contextlib import contextmanager
+from decimal import Decimal
+from fractions import Fraction
 from itertools import cycle, groupby
 from unittest import mock
 
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrayvariate import array_core, linalg
-from arrayvariate.array_core import unrvec
+from arrayvariate.array_core import FLOAT_FORMAT, unrvec
 from arrayvariate.errors import FormatError
 from support import (dump_array, dump_arrays_oracle, dump_matrix_oracle, dump_record_oracle, format_float_oracle,
                      parse_records_oracle, read_arrays, written)
@@ -619,3 +621,203 @@ class TestWriters:
         assert path.read_bytes() == expected.encode("utf-8")
         assert "".join(pieces) == expected
         assert all(values_per_piece(p, "MATV1") <= chunk for p in pieces)
+
+
+# --- the reader's byte step ---------------------------------------------------
+#
+# array_core._values converts the value tokens of a step's bytes in numpy.
+# These tests hold it, and the byte step that feeds it, to float() and to the
+# token-by-token oracle reader bit for bit.  Their property tests take the
+# profile's example count, so the thorough profile runs more of them.
+
+@contextmanager
+def short_step(n):
+    saved = array_core.SHORT_STEP
+    array_core.SHORT_STEP = n
+    try:
+        yield
+    finally:
+        array_core.SHORT_STEP = saved
+
+
+def values_of(tokens):
+    """``_values`` of the str ``tokens``, laid out one to a line after 24 bytes, as int64 bits."""
+    buf = b" " * 24 + "".join(t + "\n" for t in tokens).encode()
+    sizes = np.array([len(t) for t in tokens])
+    return array_core._values(buf, np.cumsum(sizes + 1) + 23, sizes).view(np.int64)
+
+
+def float_bits(tokens):
+    return np.array([float(t) for t in tokens]).view(np.int64)
+
+
+def tokens_file(path, tokens, per_line=7):
+    """An ARRV1 file of one record holding ``tokens``, ``per_line`` to a line."""
+    rows = [" ".join(tokens[i:i + per_line]) for i in range(0, len(tokens), per_line)]
+    return text_file(path, f"ARRV1\ndims {len(tokens)}\n" + "\n".join(rows) + "\n")
+
+
+def midpoints():
+    """Exact midpoints of two adjacent doubles, written in full with 16 to 21 significant digits: odd multiples
+    of 2**-s for s from 1 to 6 (e < 0, so the double-double product is not exact), and integers."""
+    odd = [2 ** 53 + 2 * k + 1 for k in range(6)] + [2 ** 54 - 1 - 2 * k for k in range(6)]
+    exact = [Fraction(n, 2 ** s) for n in odd for s in range(1, 7)] + [Fraction(n * 2 ** s) for n in odd for s in range(5)]
+    texts = []
+    for x in exact:
+        d = Decimal(x.numerator) / Decimal(x.denominator)  # exact: the denominator is a power of two
+        texts += [str(d), format(d, "e"), "-" + str(d)]
+    return texts
+
+
+CONVERTER_EDGES = (
+    [f"1e{e:+03d}" for e in range(-307, 309)] + ["1" + "0" * k for k in range(30)] + ["0." + "0" * k + "1" for k in range(30)]
+    + midpoints()
+    + [str(2 ** b + d) for b in (53, 63, 64) for d in range(-3, 4)] + ["9007199254740993", str(10 ** 19 - 1), str(10 ** 19)]
+    + ["0", "-0", "0.0", "-0.000", "0.00000000000000000000", "000", "0e+00", "-0e-05", "00.5", "007", "-0.0001",
+       "0.00012345678901234567", "-0.00012345678901234567", "2.2250738585072014e-308", "1.7976931348623157e+307"]
+    + ["+5", ".5", "5.", "1e5", "1E+005", "-.5", "5.e+5", "1e+5000", "--5", "1.2.3", "1e+-5", "-", "e+05"]
+)
+# values that are not normal doubles below 2**1023: the double-double path leaves them to float()
+FALLBACK_EDGES = ["4.9406564584124654e-324", "-4.9406564584124654e-324", "2.2250738585072009e-308", "1e-310",
+                  "1.7976931348623157e+308", "-1.7976931348623157e+308", "8.9884656743115795e+307"]
+
+
+class TestConverter:
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern_written_with_17_digits_matches_float(self, bits):
+        values = floats_of_bits(bits)
+        tokens = [FLOAT_FORMAT % v for v in values[np.isfinite(values)]] or ["0"]
+        assert values_of(tokens).tolist() == float_bits(tokens).tolist()
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40), st.integers(1, 17))
+    def test_any_bit_pattern_written_with_p_digits_matches_float(self, bits, p):
+        tokens = [t for t in (f"%.{p}g" % v for v in floats_of_bits(bits)) if math.isfinite(float(t))] or ["0"]
+        assert values_of(tokens).tolist() == float_bits(tokens).tolist()
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40), st.integers(1, 17), CHUNKS)
+    def test_written_bit_patterns_read_as_the_oracle_reads_them(self, file_dir, bits, p, chunk):
+        # nan, inf and tokens that overflow included: the step holding them replays
+        path = tokens_file(file_dir / "tokens.arr", [f"%.{p}g" % v for v in floats_of_bits(bits)])
+        with chunk_size(chunk), short_step(1):
+            assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None)
+
+    def test_edges_match_float(self):
+        tokens = [t for t in CONVERTER_EDGES + FALLBACK_EDGES if _float_or_none(t) is not None]
+        assert values_of(tokens).tolist() == float_bits(tokens).tolist()
+
+    def test_subnormals_and_the_largest_doubles_go_to_float(self):
+        with mock.patch.object(array_core, "float", wraps=float, create=True) as to_float:
+            assert values_of(FALLBACK_EDGES).tolist() == float_bits(FALLBACK_EDGES).tolist()
+        assert [c.args[0].decode() for c in to_float.call_args_list] == FALLBACK_EDGES
+
+    @pytest.mark.parametrize("token", ["1_0", "infinity", "nan", "-inf", "1,5", "0x10", "1\t", "1\r", "\xe9"])
+    def test_a_byte_out_of_the_grammar_s_alphabet_replays(self, token):
+        with pytest.raises(array_core._Replay):
+            values_of(["1.5", token])
+
+    @pytest.mark.parametrize("token", ["1e+400", "--5", "1.2.3", "-", "e+05", "1e+-5"])
+    def test_a_token_float_rejects_or_that_overflows_replays(self, token):
+        with pytest.raises(array_core._Replay):
+            values_of(["1.5", token])
+
+    def test_edges_read_as_the_oracle_reads_them(self, file_dir):
+        path = tokens_file(file_dir / "edges.arr", [t for t in CONVERTER_EDGES + FALLBACK_EDGES if _float_or_none(t)])
+        for chunk in (1, 3, array_core.CHUNK):
+            with chunk_size(chunk), short_step(1):
+                assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None)
+
+
+def _float_or_none(token):
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def plant(lines, fault, at, data, sep, nxt, dims):
+    """Apply ``fault`` of RUN_FAULTS to the text ``lines``: at the record whose header is line ``at``, the data
+    lines from ``data`` on, the separator line ``sep`` and the data line ``nxt`` of the next record."""
+    tokens = lines[data + 1].split()
+    if fault == "bad_token":
+        lines[data + 1] = " ".join(tokens[:-1] + ["x"])
+    elif fault == "nan":
+        lines[data + 1] = " ".join(["nan"] + tokens[1:])
+    elif fault == "extra_token":
+        lines[data + 2] += " 7"
+    elif fault == "blank_first_data_line":
+        lines.insert(data, "")
+    elif fault == "blank_first_data_line_same_lines":
+        lines[data:data + 3] = ["", lines[data] + " " + lines[data + 1], lines[data + 2]]
+    elif fault == "extra_then_missing":
+        lines[data + 2] += " 7"
+        lines[nxt] = " ".join(lines[nxt].split()[1:])
+    elif fault == "missing_value":
+        lines[data + 2] = " ".join(lines[data + 2].split()[1:])
+    elif fault == "truncated":
+        del lines[data + 2:]
+    elif fault == "dims_other_shape":
+        lines[at + 1] = "dims " + " ".join(map(str, dims[::-1])) + " 1"
+    elif fault == "dims_other_order":
+        lines[at + 1] = f"dims {math.prod(dims)}"
+    elif fault == "dims_spacing":
+        lines[at + 1] = "dims  " + " ".join(map(str, dims))
+    elif fault == "dims_invalid":
+        lines[at + 1] = "dims 2 x"
+    elif fault == "header_spaces":
+        lines[at] = " ARRV1 "
+    elif fault == "header_wrong":
+        lines[at] = "ARRV2"
+    elif fault == "separator_spaces":
+        lines[sep] = "  "
+    elif fault == "separator_doubled":
+        lines.insert(sep, "")
+    elif fault == "line_split":
+        first, rest = lines[data].split(" ", 1)
+        lines[data:data + 1] = [first, rest]
+    elif fault == "blank_mid_data_line":
+        lines.insert(data + 1, "\t")
+    elif fault == "crlf":
+        lines[data] += "\r"
+    return lines
+
+
+SCALES = [1e-8, 1.0, 1e12]  # exponent notation everywhere, mixed, and fixed notation with 13 digits before the point
+
+
+class TestByteStep:
+    """The reader's byte step against the oracle on the writer's files: records longer than CHUNK, read in
+    several steps, and runs of records that fill a step, of values written in both notations."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("shapes", [[(32, 32, 16)] * 2, [(8, 8, 8)] * 20, [(2, 3)] * 1500 + [(3, 2)] * 3],
+                             ids=["32x32x16", "8x8x8", "2x3"])
+    def test_written_files_read_as_the_oracle_reads_them(self, file_dir, shapes, scale):
+        gen = np.random.default_rng(len(shapes))
+        path = file_dir / "written.arr"
+        array_core.write_arrays([scale * gen.standard_normal(shape) for shape in shapes], path)
+        assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None)
+
+    @pytest.mark.parametrize("fault", RUN_FAULTS)
+    def test_a_fault_in_a_run_step_matches_the_oracle(self, tmp_path, fault):
+        # 8x8x8 records: the first two, 1,024 values, are read token by token, and byte steps take records
+        # 2-9 and 10-11: the first, a middle and the last record of the first step, and the first of the second
+        gen = np.random.default_rng(23)
+        shape, period = (8, 8, 8), 2 + 64 + 1
+        base = written(array_core.write_arrays, [gen.standard_normal(shape) for _ in range(12)]).split("\n")
+        for i in (2, 5, 9, 10):
+            at = i * period
+            lines = plant(base.copy(), fault, at, at + 2, at + 66, at + period + 2, shape)
+            path = text_file(tmp_path / "f.arr", "\n".join(lines))
+            assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None), i
+
+    @pytest.mark.parametrize("fault", RUN_FAULTS)
+    def test_a_fault_in_a_later_chunk_of_a_long_record_matches_the_oracle(self, tmp_path, fault):
+        # 32x32x16 records of 512 lines: data faults on lines 200-202 of the first, in its second or third
+        # step, and header, dims and separator faults at the second
+        gen = np.random.default_rng(24)
+        shape, period = (32, 32, 16), 2 + 512 + 1
+        base = written(array_core.write_arrays, [gen.standard_normal(shape) for _ in range(2)]).split("\n")
+        lines = plant(base, fault, period, 2 + 200, period - 1, period + 2, shape)
+        path = text_file(tmp_path / "f.arr", "\n".join(lines))
+        assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None)

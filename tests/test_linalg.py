@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrayvariate import linalg
+from arrayvariate.densities import Kernel, KroneckerModel
 from arrayvariate.errors import FormatError, SingularMatrixError
+from arrayvariate.multilinear import r_multiply
 from support import SCIPY_LINALG, model_log_jac, solve, well_conditioned
 
 
@@ -384,3 +386,15 @@ def test_matv1_corner_cases(tmp_path, text, expected):
             linalg.read_matrix(path)
     else:
         np.testing.assert_array_equal(linalg.read_matrix(path), np.array(expected, float))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: linalg.inverse(np.zeros((0, 0))), id="inverse"),
+    pytest.param(lambda: linalg.l_inverse(np.zeros((3, 0))), id="l_inverse"),
+    pytest.param(lambda: KroneckerModel(np.zeros((0,)), [np.zeros((0, 0))], Kernel.normal()), id="model"),
+    pytest.param(lambda: r_multiply([np.zeros((0, 2))], np.ones(2)), id="r_multiply"),
+])
+def test_zero_size_matrices_get_the_writers_message(call):
+    # as_matrix rejects a zero dimension, with the message write_matrix and write_arrays give
+    with pytest.raises(ValueError, match=r"^array dimension must be a whole number >= 1, got 0$"):
+        call()
