@@ -15,6 +15,7 @@ stays 0-based.
 import math
 import numbers
 import re
+import sys
 from itertools import groupby, islice
 
 import numpy as np
@@ -108,14 +109,15 @@ def check_finite(out, rows, shape, name, result) -> None:
 # tokens out of that grammar one at a time, so a value token is anything
 # float() accepts.  A step holding anything else is read again by the
 # token-by-token walk (:func:`_walk`), which names the first fault in file
-# order and reads the rest of the file: a byte out of "0-9.-+eE", space and
-# "\n" among its values (a tab, "\r" or another str.splitlines break, a byte
-# that is not UTF-8), a header or dims line that is not printable ASCII, a line
-# out of place, a token float() rejects, a nan or inf.  When m <= CHUNK, a step
-# takes the records that repeat its first record's lines (a writer's run of one
-# shape), up to CHUNK // m, and hands them on as one (k, m) block of rows; a
-# longer record is read in steps of about CHUNK values.  The first values of a
-# run of short records are read token by token (SHORT_STEP).
+# order and reads the rest of the file: a byte out of "0-9.-+eE", space, "\n"
+# and a "\r" right before "\n" among its values (a tab, another "\r" or another
+# str.splitlines break, a byte that is not UTF-8), a header or dims line that is
+# not printable ASCII, a line out of place, a token float() rejects, a nan or
+# inf.  When m <= CHUNK, a step takes the records that repeat its first
+# record's lines (a writer's run of one shape), up to CHUNK // m, and hands them
+# on as one (k, m) block of rows; a longer record is read in steps of about
+# CHUNK values.  The first values of a run of short records are read token by
+# token (SHORT_STEP).
 # ---------------------------------------------------------------------------
 
 # Values per chunk when writing, and per step of the reader.  4,096 formats as
@@ -132,7 +134,7 @@ SHORT_CHUNK = 256
 SHORT_STEP = 1024
 RECORD_VALUES = 28
 _VALUE_BYTES = b"0123456789.-+eE"
-_BLANK = re.compile(rb"[ \n]*")
+_BLANK = re.compile(rb"(?:[ \n]|\r\n)*(?:\r\Z)?")  # blank lines; a last "\r" may be one of "\r\n"
 
 _U = np.uint64
 _POW10 = np.array([float(10 ** j) for j in range(23)])  # exact: 5**22 < 2**53
@@ -265,7 +267,10 @@ class _Replay(Exception):
 # is gathered as the 24 bytes that end at its last byte, three little-endian
 # words, with the bytes before it cleared.  Its digits, read 8 to a word as the
 # writer builds them, give D < 10**19, every digit of the token in order, and
-# the decimal exponent e: the value is D * 10**e.
+# the decimal exponent e: the value is D * 10**e.  Where np.longdouble is the
+# x87 80-bit format (_X87), a step whose exponents all lie in [-27, 27] rounds
+# it with one long-double multiply or divide; every other step, and every step
+# elsewhere, with Clinger's case or a double-double product.
 
 # row n: the last n of 24 bytes, as three little-endian words
 _LAST = np.array([[sum(0xFF << 8 * (j - 8 * w) for j in range(8 * w, 8 * w + 8) if j >= 24 - n) for w in range(3)]
@@ -300,11 +305,25 @@ def _powers_of_ten(high=308):
 _PH, _PL, _PS, _PH_HI, _PH_LO = _powers_of_ten()
 
 
+def _x87():
+    """Whether ``np.longdouble`` is the x87 80-bit format, 16 bytes little-endian with its 64-bit significand in
+    the first 8: of the long doubles numpy has, only it holds 2**63 + 1 and not 2**64 + 1 (np.finfo may warn)."""
+    one, top = np.longdouble(1), np.longdouble(2.0 ** 63)
+    return np.dtype(np.longdouble).itemsize == 16 and sys.byteorder == "little" and top + one - top == one \
+        and 2 * top + one - 2 * top == 0
+
+
+_X87 = _x87()
+_LD10 = np.cumprod(np.r_[np.longdouble(1), np.full(27, np.longdouble(10))])  # 10**j, exact where _X87 holds
+
+
 def _values(buf, ends, sizes):
     """The values of the tokens ``buf[e - n:e]`` for e, n in ``ends`` and ``sizes``; every token ends 24 or
-    more bytes into ``buf``.  A token out of the grammar, or whose value rounds too near the midpoint of two
-    doubles to tell from its double-double product, or is not a normal double below 2**1023, goes to
-    ``float()``; one that ``float()`` rejects, holds a byte out of "0-9.+-eE" or is not finite raises _Replay."""
+    more bytes into ``buf``.  The value is rounded in the x87 long double where _X87 holds and every |e| <= 27,
+    else by Clinger's case or the double-double product.  A token out of the grammar, or whose value lands on
+    the midpoint of two doubles in the long double, or too near one to tell from its double-double product, or
+    that the fallback finds not a normal double below 2**1023, goes to ``float()``; one that ``float()``
+    rejects, holds a byte out of "0-9.+-eE" or is not finite raises _Replay."""
     with np.errstate(all="ignore"):  # a token out of the grammar may overflow; its value is not used
         n = len(ends)
         b = np.frombuffer(buf, np.uint8)
@@ -346,39 +365,49 @@ def _values(buf, ends, sizes):
         f = np.minimum(frac + 18 * ~point, 18)
         d = mant - _U(9) * _P10.take(f, mode="clip") * (mant // _P10.take(f + 1, mode="clip"))  # the point's 0 out
         e = (power * (1 - 2 * ((pe < 24) & (sign == 0x2D)))).astype(int) - frac
-        df = d.astype(np.float64)
-        fast = (d < _U(1 << 53)) & (np.abs(e) <= 22)
-        # Clinger's case: D and 10**|e| are exact doubles, so one multiply or divide rounds correctly
-        val = df * _POW10.take(np.maximum(e, 0), mode="clip") / _POW10.take(np.maximum(-e, 0), mode="clip")
-        if not fast.all():
-            # The error bound.  Y = D * p with p = 10**e / 2**s in [1, 2), and P = hi + lo from the table:
-            # 0 <= p - P < 2**-105 and 0 <= lo < 2**-52.  D = df + dl exactly, |dl| <= 2**-52 * df however
-            # the conversion to float rounds.  h + l = df * hi exactly (Dekker's product), and with
-            # lo' = l + (df * lo + dl * hi) summed in floating point,
-            #   Y - (h + lo') = df (p - P) + dl (p - hi) + (l + df * lo + dl * hi - lo').
-            # The first term is below 2**-105 Y and the second below 2**-52 * 2**-51.9 Y.  The roundings in
-            # lo' are of two products below 2**-52 Y and 2**-51 Y, their sum and a total below 2**-50 Y:
-            # 2**-105 + 2**-104 + 1.5 * 2**-104 + 2**-103 in units of Y.  So |Y - (h + lo')| < 6.5 * 2**-104 Y
-            # < 2**-101 Y.  r = h + lo' rounded and res = h + lo' - r exactly (Fast2Sum), so r is Y correctly
-            # rounded when |res| + 2**-101 Y is below half the gap from r to its neighbour on res's side:
-            # 2**-53 * t with t = 2**floor(log2 r), or 2**-54 * t below r = t.  Y < 2t (1 + 2**-52), so
-            # 2**-98 * t bounds the error with room to spare.
-            k = np.clip(e - _E_LOW, 0, len(_PH) - 1)
-            hi = _PH.take(k)
-            dl = (d - df.astype(_U)).view(np.int64).astype(np.float64)
-            h = df * hi
-            ca = 134217729.0 * df
-            a_hi = ca - (ca - df)
-            a_lo = df - a_hi
-            b_hi, b_lo = _PH_HI.take(k), _PH_LO.take(k)
-            lo = (((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo) + (df * _PL.take(k) + dl * hi)
-            r = h + lo
-            res = np.abs(lo - (r - h))
-            t = (r.view(np.int64) & 0x7FF0_0000_0000_0000).view(np.float64)
-            y = np.ldexp(r, _PS.take(k))  # exact where y is a normal double; a clipped e puts y out of them
-            ok &= fast | (res < t * (2.0 ** -53 - 2.0 ** -98)) & ((res < t * (2.0 ** -54 - 2.0 ** -98)) | (r != t)) \
-                & (y >= 2.0 ** -1022) & (y < 2.0 ** 1023)
-            val = np.where(fast, val, y)
+        if _X87 and (np.abs(e) <= 27).all():
+            # D < 10**19 < 2**64 and 10**|e| = 5**|e| * 2**|e| with 5**27 < 2**63 are exact in the 64-bit
+            # significand, so one multiply or divide rounds Y = D * 10**e once, to Y'.  Every midpoint of two
+            # doubles is exact in 64 bits, so Y' is on Y's side of each one, and rounding Y' to a double rounds Y
+            # correctly unless Y' is a midpoint: its last 11 bits are then 0x400.  Y is 0 or in [1e-27, 1e46),
+            # where every double is normal, so no cast overflows or goes subnormal.
+            y = d.astype(np.longdouble) * _LD10.take(np.maximum(e, 0)) / _LD10.take(np.maximum(-e, 0))
+            ok &= y.view(_U)[::2] & _U(0x7FF) != _U(0x400)
+            val = y.astype(np.float64)
+        else:
+            df = d.astype(np.float64)
+            fast = (d < _U(1 << 53)) & (np.abs(e) <= 22)
+            # Clinger's case: D and 10**|e| are exact doubles, so one multiply or divide rounds correctly
+            val = df * _POW10.take(np.maximum(e, 0), mode="clip") / _POW10.take(np.maximum(-e, 0), mode="clip")
+            if not fast.all():
+                # The error bound.  Y = D * p with p = 10**e / 2**s in [1, 2), and P = hi + lo from the table:
+                # 0 <= p - P < 2**-105 and 0 <= lo < 2**-52.  D = df + dl exactly, |dl| <= 2**-52 * df however
+                # the conversion to float rounds.  h + l = df * hi exactly (Dekker's product), and with
+                # lo' = l + (df * lo + dl * hi) summed in floating point,
+                #   Y - (h + lo') = df (p - P) + dl (p - hi) + (l + df * lo + dl * hi - lo').
+                # The first term is below 2**-105 Y and the second below 2**-52 * 2**-51.9 Y.  The roundings in
+                # lo' are of two products below 2**-52 Y and 2**-51 Y, their sum and a total below 2**-50 Y:
+                # 2**-105 + 2**-104 + 1.5 * 2**-104 + 2**-103 in units of Y.  So |Y - (h + lo')| < 6.5 * 2**-104 Y
+                # < 2**-101 Y.  r = h + lo' rounded and res = h + lo' - r exactly (Fast2Sum), so r is Y correctly
+                # rounded when |res| + 2**-101 Y is below half the gap from r to its neighbour on res's side:
+                # 2**-53 * t with t = 2**floor(log2 r), or 2**-54 * t below r = t.  Y < 2t (1 + 2**-52), so
+                # 2**-98 * t bounds the error with room to spare.
+                k = np.clip(e - _E_LOW, 0, len(_PH) - 1)
+                hi = _PH.take(k)
+                dl = (d - df.astype(_U)).view(np.int64).astype(np.float64)
+                h = df * hi
+                ca = 134217729.0 * df
+                a_hi = ca - (ca - df)
+                a_lo = df - a_hi
+                b_hi, b_lo = _PH_HI.take(k), _PH_LO.take(k)
+                lo = (((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo) + (df * _PL.take(k) + dl * hi)
+                r = h + lo
+                res = np.abs(lo - (r - h))
+                t = (r.view(np.int64) & 0x7FF0_0000_0000_0000).view(np.float64)
+                y = np.ldexp(r, _PS.take(k))  # exact where y is a normal double; a clipped e puts y out of them
+                ok &= fast | (res < t * (2.0 ** -53 - 2.0 ** -98)) \
+                    & ((res < t * (2.0 ** -54 - 2.0 ** -98)) | (r != t)) & (y >= 2.0 ** -1022) & (y < 2.0 ** 1023)
+                val = np.where(fast, val, y)
         val *= 1.0 - 2.0 * neg
         for i in np.flatnonzero(~ok).tolist():
             token = buf[ends[i] - sizes[i]:ends[i]]
@@ -396,11 +425,12 @@ def _values(buf, ends, sizes):
 def _scan(buf, a, z):
     """Token and line bounds of ``buf[a:z]``, whole lines from a line start, the last ending at z: each
     token's end and size, each line's token count and end (its "\\n", or z).  A byte below 0x20 other than
-    "\\n" raises _Replay."""
+    "\\n", and "\\r" right before one, raises _Replay; that "\\r" separates as a space does."""
     b = np.frombuffer(buf, np.uint8, z - a, a)
     ws = np.flatnonzero(b <= 32)
     ch = b.take(ws)
-    if ((ch != 32) & (ch != 10)).any():
+    other = ws[(ch != 32) & (ch != 10)]
+    if other.size and ((b.take(other) != 13) | (b.take(other + 1, mode="clip") != 10)).any():
         raise _Replay
     brk = ch == 10
     if not brk.size or ws[-1] != z - a - 1 or not brk[-1]:  # the file's last line, with no "\n"
@@ -521,6 +551,9 @@ def _records(blocks, source, header, order):
             pass
         return j if j >= 0 else len(buf)
 
+    def line_text(i, j):  # the line buf[i:j] that ends at j, less the "\r" of its "\r\n"
+        return buf[i:j - 1] if j < len(buf) and buf.endswith(b"\r", i, j) else buf[i:j]
+
     def window(size):  # the end of about `size` bytes of whole lines from `at`, at least one line
         while len(buf) - at < size and more():
             pass
@@ -543,10 +576,10 @@ def _records(blocks, source, header, order):
             mark = (at, lineno, None)
             h = line_end(at)
             d = line_end(h + 1)
-            if buf[at:h].strip(b" ") != head_line or h + 1 >= len(buf):
+            if line_text(at, h).strip(b" ") != head_line or h + 1 >= len(buf):
                 raise _Replay
-            if buf[h + 1:d] != dims_text:
-                dims_text = buf[h + 1:d]
+            if (line := line_text(h + 1, d)) != dims_text:
+                dims_text = line
                 if not (dims_text.isascii() and dims_text.decode().isprintable()):
                     raise _Replay
                 if isinstance(dims := _dims_of(dims_text.decode(), order), str):
@@ -557,7 +590,7 @@ def _records(blocks, source, header, order):
                 run, at, lineno, values = run + m + RECORD_VALUES, d + 1, lineno + 2, []
                 while len(values) < m:
                     j = line_end(at)
-                    text = buf[at:j]
+                    text = line_text(at, j)
                     if at >= len(buf) or text.translate(None, _VALUE_BYTES + b" ") or not (values or text.split()):
                         raise _Replay
                     try:

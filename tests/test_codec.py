@@ -9,6 +9,8 @@ inputs.
 
 import math
 import os
+import platform
+import random
 import re
 import subprocess
 import sys
@@ -682,6 +684,54 @@ FALLBACK_EDGES = ["4.9406564584124654e-324", "-4.9406564584124654e-324", "2.2250
                   "1.7976931348623157e+308", "-1.7976931348623157e+308", "8.9884656743115795e+307"]
 
 
+def x87_midpoints():
+    """Tokens of 17, 18 and 19 digits, D * 10**e with 0 < |e| <= 27, whose value is not the midpoint of two
+    doubles but rounds onto one in the x87 format's 64 bits, from below and from above, e < 0 and e > 0: found by
+    exact search over random midpoints, in exponent form and with a point, both signs.  Rounded to a double
+    from 64 bits, half of them come out wrong."""
+    gen, found = random.Random(24), {}
+    while len(found) < 12:
+        digits, s = gen.choice([17, 18, 19]), gen.randrange(-60, 100)
+        mid = Fraction(2 * gen.randrange(2 ** 52, 2 ** 53) + 1) * Fraction(2) ** (s - 53)  # in [2**s, 2**(s + 1))
+        e = math.floor(math.log10(mid)) + 1 - digits
+        d = round(mid / Fraction(10) ** e)
+        y = d * Fraction(10) ** e
+        if 0 < abs(e) <= 27 and y != mid and abs(y - mid) <= Fraction(2) ** (s - 64):  # half a 64-bit ulp
+            found.setdefault((len(str(d)), e < 0, y < mid), (str(d), e))
+    tokens = []
+    for d, e in sorted(found.values()):
+        tokens += [f"{d}e{e:+03d}", f"{d[0]}.{d[1:]}e{e + len(d) - 1:+03d}"]
+    return tokens + ["-" + t for t in tokens]
+
+
+X87_MIDPOINTS = x87_midpoints()
+
+
+@st.composite
+def x87_range_tokens(draw):
+    """A token of the grammar whose value D * 10**e has D < 10**19 and |e| <= 27, so that a step of them all
+    takes the x87 path: 1 to 19 digits, a point anywhere or none, an exponent or none."""
+    digits = str(draw(st.integers(0, 10 ** 19 - 1))).zfill(draw(st.integers(1, 19)))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    mantissa, after = (digits, 0) if point is None else (digits[:point] + "." + digits[point:], len(digits) - point)
+    written = draw(st.integers(-27, 27)) + after  # the exponent as written: e = written - after
+    exponent = f"e{written:+03d}" if written or draw(st.booleans()) else ""
+    return draw(st.sampled_from(["", "-"])) + mantissa + exponent
+
+
+# The reader rounds a step whose exponents all lie in [-27, 27] with one x87 long-double multiply or divide
+# where np.longdouble is the x87 format, and with Clinger's case and the double-double product elsewhere.
+# The converter and byte-step tests run each path the platform has: the fallback by turning the probe off.
+ROUNDINGS = {"fallback": False, "x87": True} if array_core._X87 else {"fallback": False}
+
+
+@pytest.fixture(scope="class", params=list(ROUNDINGS.values()), ids=list(ROUNDINGS))
+def rounding(request):
+    with mock.patch.object(array_core, "_X87", request.param):
+        yield
+
+
+@pytest.mark.usefixtures("rounding")
 class TestConverter:
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
     def test_any_bit_pattern_written_with_17_digits_matches_float(self, bits):
@@ -701,9 +751,15 @@ class TestConverter:
         with chunk_size(chunk), short_step(1):
             assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None)
 
-    def test_edges_match_float(self):
-        tokens = [t for t in CONVERTER_EDGES + FALLBACK_EDGES if _float_or_none(t) is not None]
+    @given(st.lists(x87_range_tokens(), min_size=1, max_size=40))
+    def test_tokens_of_up_to_19_digits_and_exponents_up_to_27_match_float(self, tokens):
         assert values_of(tokens).tolist() == float_bits(tokens).tolist()
+
+    def test_edges_match_float(self):
+        # all in one step, and each in a step of its own, which takes the x87 path where its exponent allows
+        tokens = [t for t in CONVERTER_EDGES + FALLBACK_EDGES + X87_MIDPOINTS if _float_or_none(t) is not None]
+        assert values_of(tokens).tolist() == float_bits(tokens).tolist()
+        assert [values_of([t])[0] for t in tokens] == float_bits(tokens).tolist()
 
     def test_subnormals_and_the_largest_doubles_go_to_float(self):
         with mock.patch.object(array_core, "float", wraps=float, create=True) as to_float:
@@ -721,10 +777,32 @@ class TestConverter:
             values_of(["1.5", token])
 
     def test_edges_read_as_the_oracle_reads_them(self, file_dir):
-        path = tokens_file(file_dir / "edges.arr", [t for t in CONVERTER_EDGES + FALLBACK_EDGES if _float_or_none(t)])
+        edges = CONVERTER_EDGES + FALLBACK_EDGES + X87_MIDPOINTS
+        path = tokens_file(file_dir / "edges.arr", [t for t in edges if _float_or_none(t)])
         for chunk in (1, 3, array_core.CHUNK):
             with chunk_size(chunk), short_step(1):
                 assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None)
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and platform.machine() == "x86_64"),
+                    reason="the x87 long double is asserted on x86-64 Linux only")
+def test_the_x87_probe_holds_on_x86_64_linux():
+    assert array_core._X87
+
+
+@pytest.mark.skipif(not array_core._X87, reason="np.longdouble is not the x87 format")
+class TestX87Path:
+    def test_midpoints_in_64_bits_go_to_float(self):
+        for token in X87_MIDPOINTS + ["9007199254740993", "-9007199254740993", "2251799813685248.75"]:
+            with mock.patch.object(array_core, "float", wraps=float, create=True) as to_float:
+                assert values_of([token]).tolist() == float_bits([token]).tolist()
+            assert [c.args[0].decode() for c in to_float.call_args_list] == [token]
+
+    def test_written_draws_take_the_x87_path(self):
+        # without the double-double path's power table: a step that reached for it would fail
+        tokens = [FLOAT_FORMAT % v for v in np.random.default_rng(24).standard_normal(array_core.CHUNK)]
+        with mock.patch.object(array_core, "_PH", None):
+            assert values_of(tokens).tolist() == float_bits(tokens).tolist()
 
 
 def _float_or_none(token):
@@ -785,6 +863,7 @@ def plant(lines, fault, at, data, sep, nxt, dims):
 SCALES = [1e-8, 1.0, 1e12]  # exponent notation everywhere, mixed, and fixed notation with 13 digits before the point
 
 
+@pytest.mark.usefixtures("rounding")
 class TestByteStep:
     """The reader's byte step against the oracle on the writer's files: records longer than CHUNK, read in
     several steps, and runs of records that fill a step, of values written in both notations."""
@@ -821,3 +900,68 @@ class TestByteStep:
         lines = plant(base, fault, period, 2 + 200, period - 1, period + 2, shape)
         path = text_file(tmp_path / "f.arr", "\n".join(lines))
         assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None)
+
+
+def crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+@contextmanager
+def no_replay():
+    """Fail if the reader falls back to its token-by-token walk."""
+    with mock.patch.object(array_core, "_walk", side_effect=AssertionError("replayed")):
+        yield
+
+
+class TestCRLF:
+    """A file whose lines end in "\\r\\n" takes the byte steps of its "\\n" copy, to the same records and, when
+    faulty, the same message; a "\\r" before anything but "\\n" is a line break of its own, and replays."""
+
+    @pytest.mark.parametrize("shapes", [[(32, 32, 16)] * 2, [(8, 8, 8)] * 20, [(2, 3)] * 1500 + [(3, 2)] * 3],
+                             ids=["32x32x16", "8x8x8", "2x3"])
+    def test_crlf_copies_of_written_files_read_to_the_same_rows(self, file_dir, shapes):
+        gen = np.random.default_rng(len(shapes))
+        path = file_dir / "written.arr"
+        array_core.write_arrays([gen.standard_normal(shape) for shape in shapes], path)
+        expected = file_outcome(path, "ARRV1", None)
+        text_file(path, crlf(path.read_text()))
+        with no_replay():
+            assert file_outcome(path, "ARRV1", None) == expected
+
+    def test_a_block_may_end_anywhere(self):
+        # every split of the bytes into two blocks, one of them between a "\r" and its "\n"
+        gen = np.random.default_rng(25)
+        data = crlf(written(array_core.write_arrays, [gen.standard_normal((2, 3)) for _ in range(3)])).encode()
+        for step in (1, array_core.SHORT_STEP):  # byte steps, and records read token by token
+            with no_replay(), short_step(step):
+                expected = [rows.tobytes() for _, rows in array_core._records(iter([data]), "f", "ARRV1", None)]
+                for cut in range(1, len(data)):
+                    blocks = array_core._records(iter([data[:cut], data[cut:]]), "f", "ARRV1", None)
+                    assert [rows.tobytes() for _, rows in blocks] == expected, (step, cut)
+
+    @pytest.mark.parametrize("fault", RUN_FAULTS)
+    def test_a_fault_in_a_crlf_file_gives_the_lf_oracle_s_message(self, tmp_path, fault):
+        gen = np.random.default_rng(23)
+        shape, period = (8, 8, 8), 2 + 64 + 1
+        base = written(array_core.write_arrays, [gen.standard_normal(shape) for _ in range(12)]).split("\n")
+        for i in (0, 2, 9):
+            at = i * period
+            text = "\n".join(plant(base.copy(), fault, at, at + 2, at + 66, at + period + 2, shape))
+            path = text_file(tmp_path / "f.arr", text)
+            expected = oracle_outcome(path, "ARRV1", None)
+            text_file(path, crlf(text))
+            got = file_outcome(path, "ARRV1", None)
+            assert got == oracle_outcome(path, "ARRV1", None), i
+            if fault != "crlf":  # a "\r" added before "\r\n" is one more line break
+                assert got == expected, i
+
+    @pytest.mark.parametrize("text", ["ARRV1\r\ndims 2\r\n1\r2\r\n", "ARRV1\r\ndims 2\r\n1 2\r\r\n",
+                                      "ARRV1\rdims 2\r\n1 2\r\n", "ARRV1\r\ndims 2\r\r\n1 2\r\n",
+                                      "ARRV1\r\ndims 2\r\n1\t2\r\n", "ARRV1\r\ndims 2\r\n1 2\r",
+                                      "ARRV1\r\ndims 2\r\n1 2\r\n\r\r\n"])
+    def test_a_lone_r_or_a_tab_replays_to_the_oracle_s_outcome(self, tmp_path, text):
+        path = text_file(tmp_path / "f.arr", text)
+        for step in (1, array_core.SHORT_STEP):
+            with short_step(step), mock.patch.object(array_core, "_walk", wraps=array_core._walk) as walk:
+                assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None)
+            assert walk.called
