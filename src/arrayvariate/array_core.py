@@ -95,34 +95,39 @@ def check_finite(out, rows, shape, name, result) -> None:
 #   line 2:  dims m1 m2 ... mi
 #   then:    m whitespace-separated reals in stacked (first index fastest) order
 #
-# Several arrays may follow one another in a file, separated by blank lines.
-# A record's values are its array's rvec, so n arrays of one shape are an
-# (n, m) stack of rows.  MATV1 (:mod:`arrayvariate.linalg`) is the same record
+# Several arrays may follow one another in a file, separated by blank lines.  A
+# record's values are its array's rvec, so n arrays of one shape are an (n, m)
+# stack of rows.  MATV1 (:mod:`arrayvariate.linalg`) is the same record
 # grammar under its own header, so both formats are written by
-# :func:`write_records` and read by :func:`read_records`.  Both handle values
-# a chunk of at most CHUNK at a time: the writer computes a chunk's digits
-# exactly in numpy, and writes 0, inf, nan, |x| < 1e-4 or >= 1e16 and chunks
-# too short to pay numpy's per-call cost through one FLOAT_FORMAT template, to
-# the same bytes (:func:`_format`).  A reader step converts the value tokens of
-# the writer's grammar [-]digits[.digits][e(+|-)d{1,3}] from the step's bytes
-# in numpy, exactly as float() would (:func:`_values`), and sends float() the
-# tokens out of that grammar one at a time, so a value token is anything
-# float() accepts.  A step holding anything else is read again by the
-# token-by-token walk (:func:`_walk`), which names the first fault in file
-# order and reads the rest of the file: a byte out of "0-9.-+eE", space, "\n"
-# and a "\r" right before "\n" among its values (a tab, another "\r" or another
-# str.splitlines break, a byte that is not UTF-8), a header or dims line that is
-# not printable ASCII, a line out of place, a token float() rejects, a nan or
-# inf.  When m <= CHUNK, a step takes the records that repeat its first
-# record's lines (a writer's run of one shape), up to CHUNK // m, and hands them
-# on as one (k, m) block of rows; a longer record is read in steps of about
-# CHUNK values.  The first values of a run of short records are read token by
-# token (SHORT_STEP).
+# :func:`write_records` and read by :func:`read_records`.  The writer handles
+# values a chunk of at most CHUNK at a time, and the reader a step of about
+# STEP.  The writer computes a chunk's digits exactly in numpy, and writes 0,
+# inf, nan, |x| < 1e-4 or >= 1e16 and chunks too short to pay numpy's per-call
+# cost through one FLOAT_FORMAT template, to the same bytes (:func:`_format`).
+# A reader step converts the value tokens of the writer's grammar
+# [-]digits[.digits][e(+|-)d{1,3}] from the step's bytes in numpy, exactly as
+# float() would (:func:`_values`), and sends float() the tokens out of that
+# grammar one at a time, so a value token is anything float() accepts.  A step
+# holding anything else is read again by the token-by-token walk
+# (:func:`_walk`), which names the first fault in file order and reads the
+# rest of the file: a byte out of "0-9.-+eE", space, "\n" and a "\r" right
+# before "\n" among its values (a tab, another "\r" or another str.splitlines
+# break, a byte that is not UTF-8), a header or dims line that is not
+# printable ASCII, a line out of place, a token float() rejects, a nan or inf.
+# When m <= STEP, a step takes the records that repeat its first record's
+# lines (a writer's run of one shape), up to STEP // m, and hands them on as
+# one (k, m) block of rows; a longer record is read in steps of about STEP
+# values of whole lines.  The first values of a run of short records are read
+# token by token (SHORT_STEP).
 # ---------------------------------------------------------------------------
 
-# Values per chunk when writing, and per step of the reader.  4,096 formats as
-# fast as 65,536 did, and keeps a reader step's bytes near 0.1 MB.
+# Values per chunk when writing: 4,096 formats as fast as 65,536 did, and faster than 8,192 (141 against 181 ns a
+# value on 8x8x8 normal draws, 2 shared cores).
 CHUNK = 4096
+# Values per reader step, about 0.2 MB of text.  Whole-file reads of the benchmark's sample files (2 shared cores)
+# took 59.8, 51.9 and 50.9 ms (32x32x16), 18.0, 15.1 and 15.4 ms (8x8x8) and 8.1, 7.0 and 8.1 ms (2x3) in steps of
+# 4,096, 8,192 and 16,384 values, peaking at 0.9-1.2, 1.6-2.2 and 3.3-4.3 MB traced.
+STEP = 8192
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: lossless float64 round trip
 # Chunks with fewer values in the numpy formatter's range use the template: on normal draws (2 shared
 # cores) both took about 0.2 ms at 256 values (188 against 211 us), and at 512 numpy took 276 against 483 us.
@@ -268,9 +273,11 @@ class _Replay(Exception):
 # words, with the bytes before it cleared.  Its digits, read 8 to a word as the
 # writer builds them, give D < 10**19, every digit of the token in order, and
 # the decimal exponent e: the value is D * 10**e.  Where np.longdouble is the
-# x87 80-bit format (_X87), a step whose exponents all lie in [-27, 27] rounds
-# it with one long-double multiply or divide; every other step, and every step
-# elsewhere, with Clinger's case or a double-double product.
+# x87 80-bit format (_X87), a value whose exponent lies in [-27, 27] is rounded
+# with one long-double multiply or divide; every other value, and every value
+# elsewhere, with Clinger's case or a double-double product (_rounded).  The
+# (n, 3) words are computed in place, so a step holds about 120 bytes a value
+# beyond its text.
 
 # row n: the last n of 24 bytes, as three little-endian words
 _LAST = np.array([[sum(0xFF << 8 * (j - 8 * w) for j in range(8 * w, 8 * w + 8) if j >= 24 - n) for w in range(3)]
@@ -309,105 +316,168 @@ def _x87():
     """Whether ``np.longdouble`` is the x87 80-bit format, 16 bytes little-endian with its 64-bit significand in
     the first 8: of the long doubles numpy has, only it holds 2**63 + 1 and not 2**64 + 1 (np.finfo may warn)."""
     one, top = np.longdouble(1), np.longdouble(2.0 ** 63)
-    return np.dtype(np.longdouble).itemsize == 16 and sys.byteorder == "little" and top + one - top == one \
-        and 2 * top + one - 2 * top == 0
+    return bool(np.dtype(np.longdouble).itemsize == 16 and sys.byteorder == "little" and top + one - top == one
+                and 2 * top + one - 2 * top == 0)
 
 
 _X87 = _x87()
 _LD10 = np.cumprod(np.r_[np.longdouble(1), np.full(27, np.longdouble(10))])  # 10**j, exact where _X87 holds
 
 
+def _rounded(d, e):
+    """The doubles nearest D * 10**e for the integers ``d`` below 10**19 and the exponents ``e``, and whether each
+    is certain: by Clinger's case, else by the double-double product, which is not certain too near the midpoint of
+    two doubles or for a value that is not a normal double below 2**1023."""
+    df = d.astype(np.float64)
+    fast = (d < _U(1 << 53)) & (np.abs(e) <= 22)
+    # Clinger's case: D and 10**|e| are exact doubles, so one multiply or divide rounds correctly
+    val = df * _POW10.take(e, mode="clip")
+    val /= _POW10.take(-e, mode="clip")
+    if fast.all():
+        return val, fast
+    # The error bound.  Y = D * p with p = 10**e / 2**s in [1, 2), and P = hi + lo from the table:
+    # 0 <= p - P < 2**-105 and 0 <= lo < 2**-52.  D = df + dl exactly, |dl| <= 2**-52 * df however
+    # the conversion to float rounds.  h + l = df * hi exactly (Dekker's product), and with
+    # lo' = l + (df * lo + dl * hi) summed in floating point,
+    #   Y - (h + lo') = df (p - P) + dl (p - hi) + (l + df * lo + dl * hi - lo').
+    # The first term is below 2**-105 Y and the second below 2**-52 * 2**-51.9 Y.  The roundings in
+    # lo' are of two products below 2**-52 Y and 2**-51 Y, their sum and a total below 2**-50 Y:
+    # 2**-105 + 2**-104 + 1.5 * 2**-104 + 2**-103 in units of Y.  So |Y - (h + lo')| < 6.5 * 2**-104 Y
+    # < 2**-101 Y.  r = h + lo' rounded and res = h + lo' - r exactly (Fast2Sum), so r is Y correctly
+    # rounded when |res| + 2**-101 Y is below half the gap from r to its neighbour on res's side:
+    # 2**-53 * t with t = 2**floor(log2 r), or 2**-54 * t below r = t.  Y < 2t (1 + 2**-52), so
+    # 2**-98 * t bounds the error with room to spare.
+    k = np.clip(e - _E_LOW, 0, len(_PH) - 1)
+    hi, b_hi, b_lo = _PH.take(k), _PH_HI.take(k), _PH_LO.take(k)
+    dl = (d - df.astype(_U)).view(np.int64).astype(np.float64)
+    h = df * hi
+    a_hi = df * 134217729.0
+    a_lo = a_hi - df
+    a_hi -= a_lo  # Veltkamp's split of df at 2**27 + 1
+    np.subtract(df, a_hi, out=a_lo)
+    # lo' = (((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo) + (df * lo + dl * hi), each product
+    # written over an operand it uses last
+    lo = a_hi * b_hi
+    lo -= h
+    a_hi *= b_lo
+    lo += a_hi
+    b_hi *= a_lo
+    lo += b_hi
+    a_lo *= b_lo
+    lo += a_lo
+    df *= _PL.take(k)
+    dl *= hi
+    df += dl
+    lo += df
+    r = np.add(h, lo, out=hi)
+    h -= r
+    lo += h
+    res = np.abs(lo, out=lo)  # |lo' - (r - h)|
+    t = (r.view(np.int64) & 0x7FF0_0000_0000_0000).view(np.float64)
+    y = np.ldexp(r, _PS.take(k))  # exact where y is a normal double; a clipped e puts y out of them
+    sure = (res < t * (2.0 ** -53 - 2.0 ** -98)) & ((res < t * (2.0 ** -54 - 2.0 ** -98)) | (r != t))
+    sure &= (y >= 2.0 ** -1022) & (y < 2.0 ** 1023)
+    return np.where(fast, val, y), fast | sure
+
+
 def _values(buf, ends, sizes):
     """The values of the tokens ``buf[e - n:e]`` for e, n in ``ends`` and ``sizes``; every token ends 24 or
-    more bytes into ``buf``.  The value is rounded in the x87 long double where _X87 holds and every |e| <= 27,
-    else by Clinger's case or the double-double product.  A token out of the grammar, or whose value lands on
-    the midpoint of two doubles in the long double, or too near one to tell from its double-double product, or
-    that the fallback finds not a normal double below 2**1023, goes to ``float()``; one that ``float()``
-    rejects, holds a byte out of "0-9.+-eE" or is not finite raises _Replay."""
+    more bytes into ``buf``.  Where _X87 holds, a value whose |e| <= 27 is rounded in the x87 long double; the
+    others, and every value elsewhere, by :func:`_rounded`.  A token out of the grammar, or whose value lands on
+    the midpoint of two doubles in the long double, or that :func:`_rounded` is not certain of, goes to
+    ``float()``; one that ``float()`` rejects, holds a byte out of "0-9.+-eE" or is not finite raises _Replay."""
     with np.errstate(all="ignore"):  # a token out of the grammar may overflow; its value is not used
         n = len(ends)
         b = np.frombuffer(buf, np.uint8)
         at = ends - 24
         short = np.minimum(sizes, 24)
-        keep = _LAST.take(short, axis=0)
-        x = np.ndarray((len(buf) - 23,), "V24", buf, 0, (1,))[at].view("<u8").reshape(n, 3) & keep
-        value = x.view(np.uint8) - np.uint8(0x30)
+        # the (n, 3) words, computed in place: bytes, then digits, then each word's digits as one number
+        v = np.ndarray((len(buf) - 23,), "V24", buf, 0, (1,))[at].view("<u8").reshape(n, 3)
+        v &= _LAST.take(short, axis=0)
+        value = v.view(np.uint8)
+        value -= np.uint8(0x30)
         digit = value < 10
-        g = (~digit).view("<u8") * _GATHER >> _U(56)
+        value *= digit
+        g = digit.view("<u8")
+        g *= _GATHER
+        g >>= _U(56)
+        digits = g[:, 0] | g[:, 1] << _U(8)
+        digits |= g[:, 2] << _U(16)
+        digits = digits.view(np.int64)  # bit j: byte j is a digit
+        del digit, g
         start = 24 - short
         first = np.left_shift(1, start)
-        other = (g[:, 0] | g[:, 1] << _U(8) | g[:, 2] << _U(16)).view(np.int64) & -first  # bit j: byte j, no digit
+        other = (digits ^ 0xFF_FFFF) & -first  # bit j: byte j, no digit
         neg = (other & first) != 0  # a sign byte; it must be '-'
         rest = other & ~first
         pe = _E_AT.take(rest >> 19)  # bytes pe and pe + 1 are 'e' and the exponent's sign
         rest &= ~np.left_shift(3, pe)
         q = np.frexp(rest.astype(np.float64))[1] - 1  # the point's byte, -1 for none
-        digits = ~other & (1 << 24) - first
         point = q >= 0
         sign = b.take(at + pe + 1, mode="clip")
         ok = (pe >= 0) & (rest & (rest - 1) == 0) & (sizes <= 24) & (digits & (first << neg) != 0)
         ok &= ~point | (np.right_shift(digits << 1, q) & 5 == 5) & (b.take(at + q, mode="clip") == 0x2E)
         ok &= ~neg | (b.take(at + start) == 0x2D)
         ok &= (pe == 24) | (b.take(at + pe, mode="clip") == 0x65) & ((sign == 0x2B) | (sign == 0x2D))
+        del other, rest, digits, first, start, short
         # the digits of each word as one number, first digit most significant, the others 0
-        v = (value * digit).view("<u8")
-        v = (v * _U(2561)) >> _U(8) & _U(0x00FF_00FF_00FF_00FF)
-        v = (v * _U(6553601)) >> _U(16) & _U(0x0000_FFFF_0000_FFFF)
-        v = (v * _U(42949672960001)) >> _U(32)
-        tail = np.minimum(24 - pe, 5)  # bytes of "e+dd", the last of them the exponent's digits
-        last = v[:, 2].astype(np.float64)
-        cut = np.floor(last / _POW10.take(tail))  # exact: last < 10**8
-        power = last - cut * _POW10.take(tail)
+        v *= _U(2561)
+        v >>= _U(8)
+        v &= _U(0x00FF_00FF_00FF_00FF)
+        v *= _U(6553601)
+        v >>= _U(16)
+        v &= _U(0x0000_FFFF_0000_FFFF)
+        v *= _U(42949672960001)
+        v >>= _U(32)
+        tail = 24 - pe
+        np.minimum(tail, 5, out=tail)  # bytes of "e+dd", the last of them the exponent's digits
+        ten = _POW10.take(tail)
+        power = v[:, 2].astype(np.float64)
+        cut = power / ten
+        np.floor(cut, out=cut)  # exact: v[:, 2] < 10**8
+        ten *= cut
+        power -= ten
         # the mantissa's digits with a 0 for its point, below 10**19 if v[:, 0] < 10**(3 + tail)
-        mant = (v[:, 0] * _U(10 ** 8) + v[:, 1]) * _P10.take(8 - tail) + cut.astype(_U)
+        mant = v[:, 0] * _U(10 ** 8)
+        mant += v[:, 1]
+        mant *= _P10.take(8 - tail)
+        mant += cut.astype(_U)
         ok &= v[:, 0] < _P10.take(3 + tail)
-        frac = (pe - q - 1) * point  # digits after the point
-        f = np.minimum(frac + 18 * ~point, 18)
-        d = mant - _U(9) * _P10.take(f, mode="clip") * (mant // _P10.take(f + 1, mode="clip"))  # the point's 0 out
-        e = (power * (1 - 2 * ((pe < 24) & (sign == 0x2D)))).astype(int) - frac
-        if _X87 and (np.abs(e) <= 27).all():
+        del v, value, ten, cut
+        frac = pe - q
+        frac -= 1
+        frac *= point  # digits after the point
+        f = np.where(point, frac, 18)
+        np.minimum(f, 18, out=f)
+        d = mant // _P10.take(f + 1, mode="clip")
+        d *= _P10.take(f, mode="clip")
+        d *= _U(9)
+        np.subtract(mant, d, out=d)  # the point's 0 out
+        del mant, f
+        e = power.astype(np.int64)
+        e *= 1 - 2 * ((pe < 24) & (sign == 0x2D))
+        e -= frac
+        if _X87:
             # D < 10**19 < 2**64 and 10**|e| = 5**|e| * 2**|e| with 5**27 < 2**63 are exact in the 64-bit
-            # significand, so one multiply or divide rounds Y = D * 10**e once, to Y'.  Every midpoint of two
-            # doubles is exact in 64 bits, so Y' is on Y's side of each one, and rounding Y' to a double rounds Y
-            # correctly unless Y' is a midpoint: its last 11 bits are then 0x400.  Y is 0 or in [1e-27, 1e46),
-            # where every double is normal, so no cast overflows or goes subnormal.
-            y = d.astype(np.longdouble) * _LD10.take(np.maximum(e, 0)) / _LD10.take(np.maximum(-e, 0))
-            ok &= y.view(_U)[::2] & _U(0x7FF) != _U(0x400)
+            # significand, so one multiply or divide rounds Y = D * 10**e once, to Y', where |e| <= 27.  Every
+            # midpoint of two doubles is exact in 64 bits, so Y' is on Y's side of each one, and rounding Y' to a
+            # double rounds Y correctly unless Y' is a midpoint: its last 11 bits are then 0x400.  Y is 0 or in
+            # [1e-27, 1e46), where every double is normal, so no cast overflows or goes subnormal.  A value
+            # whose |e| > 27 is rounded by _rounded instead; its long double is not used.
+            y = d.astype(np.longdouble)
+            if e.max() > 0:
+                y *= _LD10.take(e, mode="clip")
+            if e.min() < 0:
+                y /= _LD10.take(-e, mode="clip")
+            sure = y.view(_U)[::2] & _U(0x7FF) != _U(0x400)
             val = y.astype(np.float64)
+            del y
+            far = np.flatnonzero((e < -27) | (e > 27))
+            if far.size:
+                val[far], sure[far] = _rounded(d[far], e[far])
         else:
-            df = d.astype(np.float64)
-            fast = (d < _U(1 << 53)) & (np.abs(e) <= 22)
-            # Clinger's case: D and 10**|e| are exact doubles, so one multiply or divide rounds correctly
-            val = df * _POW10.take(np.maximum(e, 0), mode="clip") / _POW10.take(np.maximum(-e, 0), mode="clip")
-            if not fast.all():
-                # The error bound.  Y = D * p with p = 10**e / 2**s in [1, 2), and P = hi + lo from the table:
-                # 0 <= p - P < 2**-105 and 0 <= lo < 2**-52.  D = df + dl exactly, |dl| <= 2**-52 * df however
-                # the conversion to float rounds.  h + l = df * hi exactly (Dekker's product), and with
-                # lo' = l + (df * lo + dl * hi) summed in floating point,
-                #   Y - (h + lo') = df (p - P) + dl (p - hi) + (l + df * lo + dl * hi - lo').
-                # The first term is below 2**-105 Y and the second below 2**-52 * 2**-51.9 Y.  The roundings in
-                # lo' are of two products below 2**-52 Y and 2**-51 Y, their sum and a total below 2**-50 Y:
-                # 2**-105 + 2**-104 + 1.5 * 2**-104 + 2**-103 in units of Y.  So |Y - (h + lo')| < 6.5 * 2**-104 Y
-                # < 2**-101 Y.  r = h + lo' rounded and res = h + lo' - r exactly (Fast2Sum), so r is Y correctly
-                # rounded when |res| + 2**-101 Y is below half the gap from r to its neighbour on res's side:
-                # 2**-53 * t with t = 2**floor(log2 r), or 2**-54 * t below r = t.  Y < 2t (1 + 2**-52), so
-                # 2**-98 * t bounds the error with room to spare.
-                k = np.clip(e - _E_LOW, 0, len(_PH) - 1)
-                hi = _PH.take(k)
-                dl = (d - df.astype(_U)).view(np.int64).astype(np.float64)
-                h = df * hi
-                ca = 134217729.0 * df
-                a_hi = ca - (ca - df)
-                a_lo = df - a_hi
-                b_hi, b_lo = _PH_HI.take(k), _PH_LO.take(k)
-                lo = (((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo) + (df * _PL.take(k) + dl * hi)
-                r = h + lo
-                res = np.abs(lo - (r - h))
-                t = (r.view(np.int64) & 0x7FF0_0000_0000_0000).view(np.float64)
-                y = np.ldexp(r, _PS.take(k))  # exact where y is a normal double; a clipped e puts y out of them
-                ok &= fast | (res < t * (2.0 ** -53 - 2.0 ** -98)) \
-                    & ((res < t * (2.0 ** -54 - 2.0 ** -98)) | (r != t)) & (y >= 2.0 ** -1022) & (y < 2.0 ** 1023)
-                val = np.where(fast, val, y)
+            val, sure = _rounded(d, e)
+        ok &= sure
         val *= 1.0 - 2.0 * neg
         for i in np.flatnonzero(~ok).tolist():
             token = buf[ends[i] - sizes[i]:ends[i]]
@@ -603,14 +673,14 @@ def _records(blocks, source, header, order):
                     raise _Replay
                 yield dims, rows.reshape(1, m)
                 continue
-            take = CHUNK // m  # records a step may take; 0: the record is read in chunks
+            take = STEP // m  # records a step may take; 0: the record is read in steps of about STEP values
             pieces, read, skip = [], 0, 2  # the record's values so far; lines before its data in the step
             while read < m:
                 if read:  # the next chunk of a long record: a replay starts here
                     if at > 1 << 17:
                         buf, at = buf[at - 24:], 24
                     mark = (at, lineno, (dims, m, pieces, read))
-                start, size = at, int(per_value * (take * m or CHUNK)) + 256
+                start, size = at, int(per_value * (take * m or STEP)) + 256
                 while True:
                     z = window(size)
                     ends, sizes, counts, breaks = _scan(buf, at, z)

@@ -403,12 +403,17 @@ class TestDensityFaultOrder:
             (3, f"numerical error: array {self.OVERFLOW + 1}: its squared norm overflows in floating point")
 
 
+@pytest.mark.usefixtures("rounding")
 class TestBoundedMemory:
-    """The reader and CLI density hold about a chunk of lines and values and a
-    tile of rows, whatever the size of the file.  On 8x8x8 files of 100 and
-    1,000 arrays (1 and 10 MB), reading the whole text first peaked at 3.6 and
-    29.3 MB traced, and density at 3.8 and 29.3 MB.  Read a step at a time,
-    the reader peaks near 1.1 MB and density near 2.1 MB at both sizes."""
+    """The reader and CLI density hold about a step of lines and values and a
+    tile of rows, whatever the size of the file, on each rounding path.  On
+    8x8x8 files of 100 and 1,000 arrays (1 and 10 MB), reading the whole text
+    first peaked at 3.6 and 29.3 MB traced, and density at 3.8 and 29.3 MB.
+    Read in steps of 8,192 values, the reader peaks at 1.71 MB with the x87
+    rounding and 2.18 MB with the fallback at both sizes, and density at
+    2.07-2.13 and 2.48-2.60 MB.  Steps of 4,096 values with a converter that
+    made a new array for each operation peaked at 1.82 and 2.21 MB, and 3.47 MB
+    on the x87 path at 8,192."""
 
     BOUND = 3e6  # bytes, beyond the n output values
 

@@ -2,9 +2,9 @@
 writer and per-token reader kept in tests/support.py.  The writers and the
 reader are tested through files, each format's one way in and out.
 
-The property tests run under several chunk sizes, down to one value per
-chunk, so that records and lines split across chunks are covered by small
-inputs.
+The property tests run under several writer chunk and reader step sizes,
+down to one value per chunk and step, so that records and lines split across
+chunks and steps are covered by small inputs.
 """
 
 import math
@@ -39,14 +39,19 @@ VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_in
 SHAPES = st.sampled_from([(1,), (3,), (1, 1), (1, 3), (2, 3), (3, 2), (2, 1, 2), (1, 2, 2)])
 
 
+DEFAULT_CHUNK, DEFAULT_STEP = array_core.CHUNK, array_core.STEP
+
+
 @contextmanager
 def chunk_size(chunk):
-    saved = array_core.CHUNK
-    array_core.CHUNK = chunk
+    """Writer chunks of ``chunk`` values and reader steps of as many; at the writer's default CHUNK, the reader
+    keeps its default STEP."""
+    saved = array_core.CHUNK, array_core.STEP
+    array_core.CHUNK, array_core.STEP = chunk, DEFAULT_STEP if chunk == DEFAULT_CHUNK else chunk
     try:
         yield
     finally:
-        array_core.CHUNK = saved
+        array_core.CHUNK, array_core.STEP = saved
 
 
 @st.composite
@@ -290,10 +295,11 @@ def outcome(read, *args):
 
 
 def file_outcome(path, header, order):
-    """``outcome`` of ``read_records`` on ``path``, each of whose blocks is one step: a run step, or one record."""
+    """``outcome`` of ``read_records`` on ``path``, each of whose blocks is one step: a run step of at most
+    STEP // m records, or one record."""
     def read():
         for dims, rows in array_core.read_records(path, header, order):
-            assert 1 <= len(rows) <= max(1, array_core.CHUNK // math.prod(dims))
+            assert 1 <= len(rows) <= max(1, array_core.STEP // math.prod(dims))
             yield dims, rows
     return outcome(read)
 
@@ -352,8 +358,8 @@ class TestReader:
         "ARRV1\ndims 2\n1 -inf\nMATV1\n",
         # float() semantics: underscores, signs, bare fractions, upper-case exponents
         "ARRV1\ndims 5\n1_0 +5 .5e-3 -0.0 1E3\n",
-        # records longer than a chunk at CHUNK 1, 2 and 3: the fault comes after
-        # an earlier chunk of its record was converted and its lines let go
+        # records longer than a step at STEP 1, 2 and 3: the fault comes after
+        # an earlier step of its record was converted and its lines let go
         "ARRV1\ndims 8\n1 2\nnan 3\n4 5\n6 x\n",  # a nan in an early chunk, then a bad token
         "ARRV1\ndims 6\n1 2\nnan 3\n4 5 6\n",  # a nan, then an extra token
         "ARRV1\ndims 6\n1 2\nnan 3\n4\n",  # a nan, then the end of input
@@ -475,7 +481,7 @@ class TestRuns:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7, 4096])
     def test_identical_records_are_one_block(self, tmp_path, chunk):
-        # m = 6: runs are taken from CHUNK = 6 up, records walked one by one below it
+        # m = 6: runs are taken from STEP = 6 up, records walked one by one below it
         arrays = [np.arange(6.0).reshape(RUN_SHAPE) * (i + 1) for i in range(50)]
         path = tmp_path / "f.txt"
         with chunk_size(chunk):
@@ -497,6 +503,17 @@ class TestRuns:
         # the writer's (2, 3) at the end of one group and the start of the next are one run
         assert [(dims, len(rows)) for dims, rows in runs] == \
             [((2, 3), 1), ((3, 2), 1), ((6,), 1)] + [((2, 3), 2), ((3, 2), 1), ((6,), 1)] * 3 + [((2, 3), 1)]
+
+    def test_chunk_size_sets_the_reader_s_step(self, tmp_path):
+        # three 8x8x8 records: a step takes more than one at the default STEP, and in steps of 64 values each is
+        # read alone, in several steps
+        path = tmp_path / "f.arr"
+        array_core.write_arrays([np.ones((8, 8, 8))] * 3, path)
+        with short_step(1):
+            assert max(len(rows) for _, rows in array_core.read_records(path, "ARRV1")) > 1
+            with chunk_size(64):
+                assert [len(rows) for _, rows in array_core.read_records(path, "ARRV1")] == [1, 1, 1]
+                assert len(step_sizes(path)) > 3
 
     def test_runs_of_runs_keep_file_order(self, tmp_path):
         shapes = [(2, 3)] * 5 + [(3, 2)] * 4 + [(2, 3)] * 6
@@ -719,18 +736,6 @@ def x87_range_tokens(draw):
     return draw(st.sampled_from(["", "-"])) + mantissa + exponent
 
 
-# The reader rounds a step whose exponents all lie in [-27, 27] with one x87 long-double multiply or divide
-# where np.longdouble is the x87 format, and with Clinger's case and the double-double product elsewhere.
-# The converter and byte-step tests run each path the platform has: the fallback by turning the probe off.
-ROUNDINGS = {"fallback": False, "x87": True} if array_core._X87 else {"fallback": False}
-
-
-@pytest.fixture(scope="class", params=list(ROUNDINGS.values()), ids=list(ROUNDINGS))
-def rounding(request):
-    with mock.patch.object(array_core, "_X87", request.param):
-        yield
-
-
 @pytest.mark.usefixtures("rounding")
 class TestConverter:
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
@@ -787,7 +792,7 @@ class TestConverter:
 @pytest.mark.skipif(not (sys.platform.startswith("linux") and platform.machine() == "x86_64"),
                     reason="the x87 long double is asserted on x86-64 Linux only")
 def test_the_x87_probe_holds_on_x86_64_linux():
-    assert array_core._X87
+    assert array_core._X87 is True
 
 
 @pytest.mark.skipif(not array_core._X87, reason="np.longdouble is not the x87 format")
@@ -800,9 +805,28 @@ class TestX87Path:
 
     def test_written_draws_take_the_x87_path(self):
         # without the double-double path's power table: a step that reached for it would fail
-        tokens = [FLOAT_FORMAT % v for v in np.random.default_rng(24).standard_normal(array_core.CHUNK)]
+        tokens = [FLOAT_FORMAT % v for v in np.random.default_rng(24).standard_normal(array_core.STEP)]
         with mock.patch.object(array_core, "_PH", None):
             assert values_of(tokens).tolist() == float_bits(tokens).tolist()
+
+    def test_a_step_of_both_kinds_rounds_each_value_on_its_own_path(self):
+        # draws at scale 1e-8 hold values below 1e-11, whose e < -27, and a few scaled up past e = 27: those,
+        # and only those, go to the fallback, and the step converts as float() does
+        values = 1e-8 * np.random.default_rng(25).standard_normal(array_core.STEP)
+        values[::101] *= 1e60
+        tokens = [FLOAT_FORMAT % v for v in values]
+        far = [exponent(t) for t in tokens if abs(exponent(t)) > 27]
+        assert min(far) < -27 and max(far) > 27 and len(far) < len(tokens) // 2
+        with mock.patch.object(array_core, "_rounded", wraps=array_core._rounded) as rounded:
+            assert values_of(tokens).tolist() == float_bits(tokens).tolist()
+        (call,) = rounded.call_args_list
+        assert call.args[1].tolist() == far
+
+
+def exponent(token):
+    """The e of a token's value D * 10**e, D its digits."""
+    mantissa, _, written = token.lower().partition("e")
+    return int(written or 0) - len(mantissa.partition(".")[2])
 
 
 def _float_or_none(token):
@@ -865,7 +889,7 @@ SCALES = [1e-8, 1.0, 1e12]  # exponent notation everywhere, mixed, and fixed not
 
 @pytest.mark.usefixtures("rounding")
 class TestByteStep:
-    """The reader's byte step against the oracle on the writer's files: records longer than CHUNK, read in
+    """The reader's byte step against the oracle on the writer's files: records longer than STEP, read in
     several steps, and runs of records that fill a step, of values written in both notations."""
 
     @pytest.mark.parametrize("scale", SCALES)
@@ -879,27 +903,61 @@ class TestByteStep:
 
     @pytest.mark.parametrize("fault", RUN_FAULTS)
     def test_a_fault_in_a_run_step_matches_the_oracle(self, tmp_path, fault):
-        # 8x8x8 records: the first two, 1,024 values, are read token by token, and byte steps take records
-        # 2-9 and 10-11: the first, a middle and the last record of the first step, and the first of the second
-        gen = np.random.default_rng(23)
-        shape, period = (8, 8, 8), 2 + 64 + 1
-        base = written(array_core.write_arrays, [gen.standard_normal(shape) for _ in range(12)]).split("\n")
-        for i in (2, 5, 9, 10):
-            at = i * period
-            lines = plant(base.copy(), fault, at, at + 2, at + 66, at + period + 2, shape)
-            path = text_file(tmp_path / "f.arr", "\n".join(lines))
+        # 8x8x8 records: the first, a middle and the last record of the first byte step, and the first of the
+        # second, each after the records read token by token
+        base, first, per = run_of_steps(tmp_path, 23)
+        for i in (first, first + per // 2, first + per - 1, first + per):
+            path = text_file(tmp_path / "f.arr", "\n".join(plant_in_record(base.copy(), fault, i)))
             assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None), i
 
     @pytest.mark.parametrize("fault", RUN_FAULTS)
     def test_a_fault_in_a_later_chunk_of_a_long_record_matches_the_oracle(self, tmp_path, fault):
-        # 32x32x16 records of 512 lines: data faults on lines 200-202 of the first, in its second or third
-        # step, and header, dims and separator faults at the second
+        # 32x32x16 records of 512 lines: data faults on the first three data lines of the first record's second
+        # step, and header, dims and separator faults at the second record
         gen = np.random.default_rng(24)
         shape, period = (32, 32, 16), 2 + 512 + 1
-        base = written(array_core.write_arrays, [gen.standard_normal(shape) for _ in range(2)]).split("\n")
-        lines = plant(base, fault, period, 2 + 200, period - 1, period + 2, shape)
+        path = tmp_path / "f.arr"
+        array_core.write_arrays([gen.standard_normal(shape) for _ in range(2)], path)
+        base = path.read_text().split("\n")
+        steps = step_sizes(path)
+        line, rest = divmod(steps[0], 32)  # the second step's first data line
+        assert rest == 0 and array_core.STEP // 2 < steps[0] < 2 * array_core.STEP and 32 * (line + 3) <= sum(steps[:2])
+        lines = plant(base, fault, period, 2 + line, period - 1, period + 2, shape)
         path = text_file(tmp_path / "f.arr", "\n".join(lines))
         assert file_outcome(path, "ARRV1", None) == oracle_outcome(path, "ARRV1", None)
+
+
+RUN_SHAPE_8, RUN_PERIOD_8 = (8, 8, 8), 2 + 64 + 1  # an 8x8x8 record: header, dims, 64 data lines, blank line
+
+
+def run_of_steps(tmp_path, seed):
+    """The lines of a written run of 8x8x8 records that fills one byte step and opens the next, the first record of
+    that step, and the records it takes: the run's first records are read token by token until their values and
+    RECORD_VALUES each reach SHORT_STEP, and a byte step takes STEP // m records."""
+    m = math.prod(RUN_SHAPE_8)
+    first = -(-array_core.SHORT_STEP // (m + array_core.RECORD_VALUES))
+    per = array_core.STEP // m
+    gen = np.random.default_rng(seed)
+    path = tmp_path / "run.arr"
+    array_core.write_arrays([gen.standard_normal(RUN_SHAPE_8) for _ in range(first + per + 2)], path)
+    # the positions straddle a step's bounds: records read alone, then a step of `per`, then the next
+    blocks = [len(rows) for _, rows in array_core.read_records(path, "ARRV1")]
+    assert blocks[:first + 1] == [1] * first + [per] and sum(blocks) == first + per + 2
+    return path.read_text().split("\n"), first, per
+
+
+def plant_in_record(lines, fault, i):
+    """``plant`` a fault in record ``i`` of the 8x8x8 run ``lines``."""
+    at = i * RUN_PERIOD_8
+    return plant(lines, fault, at, at + 2, at + RUN_PERIOD_8 - 1, at + RUN_PERIOD_8 + 2, RUN_SHAPE_8)
+
+
+def step_sizes(path):
+    """The number of values each byte step of the reader converts, reading the file at ``path``."""
+    with mock.patch.object(array_core, "_values", wraps=array_core._values) as values:
+        for _ in array_core.read_records(path, "ARRV1"):
+            pass
+    return [len(c.args[1]) for c in values.call_args_list]
 
 
 def crlf(text):
@@ -941,12 +999,10 @@ class TestCRLF:
 
     @pytest.mark.parametrize("fault", RUN_FAULTS)
     def test_a_fault_in_a_crlf_file_gives_the_lf_oracle_s_message(self, tmp_path, fault):
-        gen = np.random.default_rng(23)
-        shape, period = (8, 8, 8), 2 + 64 + 1
-        base = written(array_core.write_arrays, [gen.standard_normal(shape) for _ in range(12)]).split("\n")
-        for i in (0, 2, 9):
-            at = i * period
-            text = "\n".join(plant(base.copy(), fault, at, at + 2, at + 66, at + period + 2, shape))
+        # a record read token by token, the first and last of the first byte step, and the first of the next
+        base, first, per = run_of_steps(tmp_path, 23)
+        for i in (0, first, first + per - 1, first + per):
+            text = "\n".join(plant_in_record(base.copy(), fault, i))
             path = text_file(tmp_path / "f.arr", text)
             expected = oracle_outcome(path, "ARRV1", None)
             text_file(path, crlf(text))
