@@ -16,6 +16,7 @@ import math
 import numbers
 import re
 import sys
+from functools import cache, reduce
 from itertools import groupby, islice
 
 import numpy as np
@@ -101,9 +102,14 @@ def check_finite(out, rows, shape, name, result) -> None:
 # grammar under its own header, so both formats are written by
 # :func:`write_records` and read by :func:`read_records`.  The writer handles
 # values a chunk of at most CHUNK at a time, and the reader a step of about
-# STEP.  The writer computes a chunk's digits exactly in numpy, and writes 0,
-# inf, nan, |x| < 1e-4 or >= 1e16 and chunks too short to pay numpy's per-call
-# cost through one FLOAT_FORMAT template, to the same bytes (:func:`_format`).
+# STEP.  The writer computes a chunk's digits exactly in numpy: each value's 17
+# digits as an integer, with a 0 digit put in after the integer part to stand
+# for the point, then each group of 4 digits as 4 ASCII bytes read from a
+# table, and the trailing zeros and the point from masks read from small
+# tables by the decimal exponent and the count of significant digits
+# (:func:`_tables`).  It writes 0, inf, nan, |x| < 1e-4 or >= 1e16 and chunks
+# too short to pay numpy's per-call cost through one FLOAT_FORMAT template, to
+# the same bytes (:func:`_format`).
 # A reader step converts the value tokens of the writer's grammar
 # [-]digits[.digits][e(+|-)d{1,3}] from the step's bytes in numpy, exactly as
 # float() would (:func:`_values`), and sends float() the tokens out of that
@@ -121,17 +127,18 @@ def check_finite(out, rows, shape, name, result) -> None:
 # token by token (SHORT_STEP).
 # ---------------------------------------------------------------------------
 
-# Values per chunk when writing: 4,096 formats as fast as 65,536 did, and faster than 8,192 (141 against 181 ns a
-# value on 8x8x8 normal draws, 2 shared cores).
-CHUNK = 4096
+# Values per chunk when writing.  Writing 8x8x8, 32x32x16 and 2x3 normal draws (2 shared cores) took 160, 166 and
+# 175 ns a value in chunks of 4,096, 148, 149 and 160 at 8,192, and 168, 141 and 152 at 16,384, peaking at 0.9, 1.8
+# and 3.6 MB traced.
+CHUNK = 8192
 # Values per reader step, about 0.2 MB of text.  Whole-file reads of the benchmark's sample files (2 shared cores)
 # took 59.8, 51.9 and 50.9 ms (32x32x16), 18.0, 15.1 and 15.4 ms (8x8x8) and 8.1, 7.0 and 8.1 ms (2x3) in steps of
 # 4,096, 8,192 and 16,384 values, peaking at 0.9-1.2, 1.6-2.2 and 3.3-4.3 MB traced.
 STEP = 8192
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: lossless float64 round trip
-# Chunks with fewer values in the numpy formatter's range use the template: on normal draws (2 shared
-# cores) both took about 0.2 ms at 256 values (188 against 211 us), and at 512 numpy took 276 against 483 us.
-SHORT_CHUNK = 256
+# Chunks with fewer values in the numpy formatter's range use the template: on normal draws (2 shared cores)
+# numpy took 105 against 96 us at 128 values, and 128 against 183 us at 256.
+SHORT_CHUNK = 128
 # The first SHORT_STEP values of a run of records with fewer values each are read token by token, so that a run
 # too short to pay a byte step's numpy calls takes none: read alone (2 shared cores), 512 values took 229 us so
 # against 357 us in a byte step, and 1,024 values 433 against 429 us.  Read so, a record's header, dims and line
@@ -143,12 +150,36 @@ _BLANK = re.compile(rb"(?:[ \n]|\r\n)*(?:\r\Z)?")  # blank lines; a last "\r" ma
 
 _U = np.uint64
 _POW10 = np.array([float(10 ** j) for j in range(23)])  # exact: 5**22 < 2**53
-# column j: the first j bytes of a 24-byte string, as three little-endian words
-_LOW = np.array([[(1 << 8 * min(max(j - 8 * w, 0), 8)) - 1 for j in range(26)] for w in range(3)], _U)
-_POINT = (_LOW[:, 1:] ^ _LOW[:, :-1]) & _U(0x2E2E_2E2E_2E2E_2E2E)  # column j: a point at byte j, none at 24
-# index k + 4 + 20 * (x < 0): the sign and, for decimal exponent k < 0, "0." and -k - 1 zeros
-_PREFIX = np.frombuffer(b"".join((sign + b"0." + b"0" * (-k - 1) if k < 0 else sign).ljust(8, b"\0")
-                                 for sign in (b"\0", b"-") for k in range(-4, 16)), "<u8").astype(_U)
+
+
+@cache
+def _tables():
+    """The writer's tables, built on its first numpy call.
+
+    - ``chars[g]`` and ``chars_high[g]``: "%04d" % g as 4 ASCII bytes, first digit in the low byte, in the low
+      and the high half of a word, for a group of 4 digits g < 10,000.
+    - ``significant[g]``: the bytes of "%04d" % g up to its last nonzero digit, 0 for 0000.
+    - ``nines[k + 4]``: 9 * 10**(16 - k) for decimal exponent k >= 0, 0 for k < 0.
+    - ``first[(k + 4 + 20 * sign) * 100 + t]``: a value's first word, for sign bit ``sign`` and first digits t,
+      2 of them (1 if k < 0).  It holds the sign, "0." and -k - 1 zeros if k < 0, then t, whose second digit
+      is the 0 that stands for the point, and so a point, if k = 0.
+    - ``keep[(k + 4) * 17 + s]`` and ``point[(k + 4) * 17 + s]``, for s bytes of the two digit words up to
+      their last nonzero digit: the bytes to keep, and the byte of the 0 that stands for the point, which
+      XOR 0x1E makes a point.
+    """
+    group = np.ix_(*[np.arange(10)] * 4)  # the digits of g = 1000 i + 100 j + 10 k + l, an open grid over (i, j, k, l)
+    chars = sum(digit + 48 << 8 * j for j, digit in enumerate(group)).ravel()
+    significant = reduce(np.maximum, [(digit > 0) * (j + 1) for j, digit in enumerate(group)]).ravel()
+    nines = np.array([9 * 10 ** (16 - k) if k >= 0 else 0 for k in range(-4, 16)])
+    heads = [sign + (b"0." + b"0" * (-k - 1) if k < 0 else b"") for sign in (b"", b"-") for k in range(-4, 16)]
+    k, t = np.tile(np.arange(-4, 16), 2)[:, None], np.arange(100)
+    t = np.where(k < 0, t + 48, t // 10 + 48 | np.where(k, t % 10 + 48, 46) << 8)
+    first = np.array([[int.from_bytes(h, "little")] for h in heads]) | t << 8 * np.array([[len(h)] for h in heads])
+    k, s, byte = np.arange(-4, 16)[:, None, None], np.arange(17)[:, None], np.arange(16)
+    keep = (byte < np.maximum(s, k - 1)) * 0xFF  # no trailing zeros after the point, all those of a whole number
+    point = ((byte == k - 1) & (s > k)) * 0x1E  # a nonzero digit after the point
+    keep, point = (mask.astype(np.uint8).view("<i8").reshape(-1, 2) for mask in (keep, point))
+    return chars, chars << 32, significant, nines, first.ravel(), keep, point
 
 
 def _scaled(a, k):
@@ -165,54 +196,74 @@ def _scaled(a, k):
 
 def _format(rows, seps, head=""):
     """The text of the ``(c, m)`` float ``rows``: each row is ``head``, then each value as FLOAT_FORMAT
-    writes it followed by its character of ``seps``.  Values are laid out in fixed-width rows of bytes,
-    and the 0 bytes that pad them are deleted at the end."""
+    writes it followed by its character of ``seps``.
+
+    A row is laid out in bytes, ``head`` and 0 bytes up to a multiple of 8, then 4 words a value, and the
+    0 bytes are deleted at the end.  A value in FLOAT_FORMAT's fixed notation has its 17 digits from
+    :func:`_scaled`.  A value of at least 1 gets a digit 0 after its integer part, which stands for the
+    point.  The first of the value's words holds its sign, the "0." and zeros of a value below 1, and its
+    first 2 digits (1 below 1).  The next two hold the other 16 digits, read 4 at a time from a table,
+    with the trailing zeros after the point masked off and the 0 that stands for the point made one
+    (:func:`_tables`).  The last word holds the separator in its top byte.  The other values are written
+    by the template.
+    """
     c, m = rows.shape
     x = rows.ravel()
-    if x.size >= SHORT_CHUNK:  # a shorter chunk makes no numpy call
+    n = x.size
+    if n >= SHORT_CHUNK:  # a shorter chunk makes no numpy call
         a = np.abs(x)
         fixed = (a >= 1e-4) & (a < 1e16)  # FLOAT_FORMAT's fixed notation, up to 16 digits before the point
-    if x.size < SHORT_CHUNK or np.count_nonzero(fixed) < SHORT_CHUNK:
+        count = np.count_nonzero(fixed)
+    if n < SHORT_CHUNK or count < SHORT_CHUNK:
         return (head + "".join(FLOAT_FORMAT + s for s in seps)) * c % tuple(x.tolist())
-    a = np.where(fixed, a, 1.0)  # the others are written by the template below
+    if count < n:
+        a[~fixed] = 1.0  # the others are written by the template below
     k = np.floor(np.log10(a)).astype(np.intp)  # decimal exponent
     d = _scaled(a, k)  # the 17 digits
     while (off := np.flatnonzero((d - 10 ** 16).view(_U) >= _U(9 * 10 ** 16))).size:
         k[off] += np.where(d[off] < 10 ** 16, -1, 1)  # log10 is off by one next to a power of ten
         d[off] = _scaled(a[off], k[off])
-    d = d.view(_U)
-    q = d // _U(10 ** 8)
-    lead = q // _U(10 ** 8)  # the first digit
-    raw = np.stack((q - lead * _U(10 ** 8), d - q * _U(10 ** 8)))
-    # digits 2-9 and 10-17, one a byte of each word, first digit in the low byte
-    q = raw // _U(10_000)
-    raw = q | (raw - q * _U(10_000)) << _U(32)
-    q = (raw * _U(10_486)) >> _U(20) & _U(0x7F_0000_007F)  # // 100 in each 32-bit half
-    raw = q | (raw - q * _U(100)) << _U(16)
-    q = (raw * _U(103)) >> _U(10) & _U(0xF_000F_000F_000F)  # // 10 in each 16-bit quarter
-    raw = q | (raw - q * _U(10)) << _U(8)
-    top = (np.frexp(raw.astype(float))[1] - 1) >> 3  # each word's last nonzero byte, -1 if none
-    sig = np.where(top[1] >= 0, top[1] + 10, np.maximum(top[0] + 2, 1))  # digits but the trailing zeros
-    raw |= _U(0x3030_3030_3030_3030)
-    # the 17 digits as a 24-byte string
-    s = np.stack((lead + _U(48) | raw[0] << _U(8), raw[0] >> _U(56) | raw[1] << _U(8), raw[1] >> _U(56)))
-    s &= _LOW.take(np.maximum(sig, k + 1), axis=1)  # trailing zeros after the point dropped
-    cut = np.where((k >= 0) & (sig > k + 1), k + 1, 24)  # the point goes before digit k + 2
-    low = s & _LOW.take(cut, axis=1)
-    s ^= low
-    low |= _POINT.take(cut, axis=1)
-    low |= s << _U(8)  # the digits after the point move on a byte
-    low[1:] |= s[:2] >> _U(56)
-    # 32 bytes a value: sign and "0.000" prefix, digits and point, then 0 bytes up to the separator's byte 31
-    frame = np.vstack((_PREFIX.take(k + 4 + 20 * np.signbit(x)), low)).T.astype("<u8", order="C").view(np.uint8)
-    other = np.flatnonzero(~fixed)
-    if other.size:
+    chars, chars_high, significant, nines, first, keep, point = _tables()
+    k += 4
+    d += a.astype(np.intp) * nines.take(k)  # the integer part's digits move up one, and a 0 follows them
+    q = d // 10 ** 8
+    top = q // 10 ** 8  # the first 2 digits, 1 below 1
+    low = np.empty((n, 2), np.intp)  # the other 16 digits: words of 8, then the second group of 4 in each
+    np.subtract(q, top * 10 ** 8, out=low[:, 0])
+    np.subtract(d, q * 10 ** 8, out=low[:, 1])
+    high = low // 10 ** 4
+    low -= high * 10 ** 4
+    s = significant.take(low[:, 1]) + 12  # the bytes up to the last nonzero digit
+    zero = np.flatnonzero(low[:, 1] == 0)
+    for j, group in ((8, high[:, 1]), (4, low[:, 0]), (0, high[:, 0])):  # the rare rows whose last group is 0000
+        if not zero.size:
+            break
+        group = group[zero]
+        s[zero] = significant.take(group) + j
+        zero = zero[group == 0]
+    digits = chars.take(high)
+    digits |= chars_high.take(low)
+    s += k * 17
+    digits &= keep.take(s, axis=0)
+    digits ^= point.take(s, axis=0)
+    top += np.signbit(x) * 2000  # now the index of the first word
+    top += k * 100
+    first = first.take(top)
+    if zero.size:  # no point after the digit of a whole number from 1 to 9
+        zero = zero[k[zero] == 4]
+        first[zero] &= np.where(x[zero] < 0, 0xFFFF, 0xFF)
+    at = len(head) + -len(head) % 8
+    text = np.empty((c, at + 32 * m), np.uint8)
+    text[:, :at] = np.frombuffer(head.encode().ljust(at, b"\0"), np.uint8)
+    frame = text[:, at:].view("<i8").reshape(c, m, 4)
+    frame[..., 0] = first.reshape(c, m)
+    frame[..., 1] = digits[:, 0].reshape(c, m)
+    frame[..., 2] = digits[:, 1].reshape(c, m)
+    frame[..., 3] = np.frombuffer(seps.encode(), np.uint8).astype(np.intp) << 56
+    if count < n:
+        other = np.flatnonzero(~fixed)
         padded = np.frombuffer((f"%-31{FLOAT_FORMAT[1:]}" * other.size % tuple(x[other].tolist())).encode(), np.uint8)
-        frame[other, :31] = (padded * (padded != 32)).reshape(-1, 31)  # padded to 31 bytes with 0s, not spaces
-    frame.reshape(c, m, 32)[:, :, 31] = np.frombuffer(seps.encode(), np.uint8)
-    text = frame.reshape(c, -1)
-    if head:
-        text = np.concatenate((np.broadcast_to(np.frombuffer(head.encode(), np.uint8), (c, len(head))), text), axis=1)
+        frame.view(np.uint8)[other // m, other % m, :31] = (padded * (padded != 32)).reshape(-1, 31)  # 0s, not spaces
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -1,7 +1,8 @@
 """Suite-wide settings: property tests draw the same examples on every run and
 keep no example database, so a run's result does not depend on earlier runs.
 ``HYPOTHESIS_PROFILE=thorough`` selects a profile with the same settings and
-ten times the examples of every test that does not set its own count.
+ten times the examples of every test that does not set its own count, and of
+every test that sets it through ``test_codec.examples``.
 Hypothesis's other cache, constants mined from the source at collection, goes
 to a temporary directory removed at exit, so the suite writes nothing into the
 checkout.  The ``rounding`` fixture runs a test class on each of the reader's

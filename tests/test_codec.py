@@ -39,6 +39,11 @@ VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_in
 SHAPES = st.sampled_from([(1,), (3,), (1, 1), (1, 3), (2, 3), (3, 2), (2, 1, 2), (1, 2, 2)])
 
 
+def examples(n):
+    """``n`` examples, and ten times as many under the thorough profile (``tests/conftest.py``)."""
+    return n * settings().max_examples // settings.get_profile("deterministic").max_examples
+
+
 DEFAULT_CHUNK, DEFAULT_STEP = array_core.CHUNK, array_core.STEP
 
 
@@ -70,7 +75,7 @@ def values_per_piece(piece, header):
 
 
 class TestWriter:
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     @given(array_lists(), CHUNKS)
     def test_write_arrays_matches_oracle(self, arrays, chunk):
         with chunk_size(chunk):
@@ -78,7 +83,7 @@ class TestWriter:
             for a in arrays:
                 assert dump_array(a) == dump_arrays_oracle([a])
 
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     @given(SHAPES, st.integers(0, 6), st.data(), CHUNKS)
     def test_write_records_matches_oracle_in_bounded_pieces(self, shape, n, data, chunk):
         rows = np.array([array_core.rvec(data.draw(arrays_of(shape))) for _ in range(n)]).reshape(n, math.prod(shape))
@@ -88,7 +93,7 @@ class TestWriter:
         assert "".join(pieces) == dump_arrays_oracle([unrvec(r, shape) for r in rows])
         assert all(values_per_piece(p, "ARRV1") <= chunk for p in pieces)
 
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     @given(st.integers(1, 4), st.integers(1, 4), st.data(), CHUNKS)
     def test_write_matrix_matches_oracle(self, r, c, data, chunk):
         a = np.array(data.draw(st.lists(VALUES, min_size=r * c, max_size=r * c))).reshape(r, c)
@@ -162,15 +167,33 @@ FORMATTER_TABLE = np.array(
        -1.7976931348623157e308, np.inf, -np.inf, np.nan, 1.0, -1.5, 0.1, 123456789.0, 9999999999999998.0])
 
 
+def with_significant_digits(k, sig):
+    """The first double from 10**k up whose 17 digits in FLOAT_FORMAT end in exactly 17 - sig zeros: the double
+    nearest a decimal of sig digits, 10**(sig - 1) + t times 10**(k - sig + 1), that rounds back to it."""
+    for t in range(9 * 10 ** (sig - 1)):
+        v = float(f"{10 ** (sig - 1) + t}e{k - sig + 1}")
+        if len(("%.16e" % v).split("e")[0].replace(".", "").rstrip("0")) == sig:
+            return v
+
+
+# one value for each decimal exponent of the fixed notation, count of trailing zeros of the 17 digits and sign,
+# so that for each exponent the last group of 4 digits is 0000 while an earlier one is not; then whole numbers
+EXPONENTS_AND_ZEROS = [(k, zeros, sign) for k in range(-4, 16) for zeros in range(17) for sign in (1, -1)]
+DIGIT_TABLE = np.array(
+    [sign * with_significant_digits(k, 17 - zeros) for k, zeros, sign in EXPONENTS_AND_ZEROS]
+    + [float(v) for j in range(17) for v in (10 ** j, 10 ** j - 1, 2 * 10 ** j, 10 ** j + 1) if v < 10 ** 16]
+    + [2.0 ** 53, 2.0 ** 53 + 2, 9999999999999998.0, 1e16 - 2, 123456789012345.0, -7.0])
+
+
 class TestFormatter:
-    @settings(max_examples=500)
+    @settings(max_examples=examples(500))
     @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=40))
     def test_any_bit_pattern_matches_oracle(self, bits):
         values = floats_of_bits(bits).reshape(-1, 1)
         with short_chunk(1):  # the numpy path whenever one value is in its range
             assert array_core._format(values, "\n") == formatter_oracle(values, "\n")
 
-    @settings(max_examples=500)
+    @settings(max_examples=examples(500))
     @given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1).map(lambda b: float(floats_of_bits(b))),
                               st.floats(-1e17, 1e17), st.floats(-1e-3, 1e-3)), min_size=1, max_size=40))
     def test_values_in_and_next_to_the_range_match_oracle(self, values):
@@ -182,6 +205,27 @@ class TestFormatter:
         values = FORMATTER_TABLE.reshape(-1, 1)
         with short_chunk(1):
             assert array_core._format(values, "\n").split("\n") == formatter_oracle(values, "\n").split("\n")
+
+    def test_digit_table_covers_each_exponent_and_count_of_trailing_zeros(self):
+        cases = []
+        for v in DIGIT_TABLE[:len(EXPONENTS_AND_ZEROS)]:
+            digits, exponent = ("%.16e" % abs(v)).split("e")
+            digits = digits.replace(".", "")
+            cases.append((int(exponent), len(digits) - len(digits.rstrip("0")), 1 if v > 0 else -1))
+        assert cases == EXPONENTS_AND_ZEROS
+
+    def test_digit_table_matches_oracle_one_value_a_chunk(self):
+        with short_chunk(1):
+            for v in DIGIT_TABLE:
+                assert array_core._format(np.array([[v]]), "\n") == format_float_oracle(v) + "\n"
+
+    @pytest.mark.parametrize("m", [1, 7, 32])
+    def test_digit_table_matches_oracle_in_rows_with_a_head(self, m):
+        rows = np.resize(DIGIT_TABLE, (-(-DIGIT_TABLE.size // m), m))  # repeated from the start to fill the last row
+        seps = " " * (m - 1) + "\n"
+        assert rows.size >= array_core.SHORT_CHUNK
+        for head in ("", "ARRV1\ndims 7\n", "\nh\n"):
+            assert array_core._format(rows, seps, head) == "".join(head + formatter_oracle(r, seps) for r in rows)
 
     def test_many_values_match_oracle(self):
         gen = np.random.default_rng(18)
@@ -616,7 +660,7 @@ def recording_writes(module, pieces):
 
 
 class TestWriters:
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     @given(array_lists(), CHUNKS)
     def test_write_arrays_writes_the_oracle_bytes_in_bounded_pieces(self, file_dir, arrays, chunk):
         path = file_dir / "written.arr"
@@ -628,7 +672,7 @@ class TestWriters:
         assert "".join(pieces) == expected
         assert all(values_per_piece(p, "ARRV1") <= chunk for p in pieces)
 
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     @given(st.integers(1, 4), st.integers(1, 4), st.data(), CHUNKS)
     def test_write_matrix_writes_the_oracle_bytes_in_bounded_pieces(self, file_dir, r, c, data, chunk):
         a = np.array(data.draw(st.lists(VALUES, min_size=r * c, max_size=r * c))).reshape(r, c)
